@@ -282,8 +282,9 @@ class CifRecordReader final : public RecordReader {
     const uint64_t k = std::min(max_rows, run_end - next_row);
     batch_start_row_ = next_row;
     if (lazy_) {
-      // Laziness survives batching: nothing is decoded here. Columns the
-      // map function touches decode ahead to the window end on first Get.
+      // Laziness survives batching: nothing is decoded here. Typed-lane
+      // columns the map function touches decode ahead to the window end on
+      // first Get; nested columns stay one value per Get.
       lazy_record_->SetBatchWindow(next_row, k);
       row_ += k;
       m_records_->Increment(k);

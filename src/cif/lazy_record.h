@@ -34,10 +34,13 @@ class LazyRecord final : public Record {
 
   /// Declares the resident row window [start, start + rows) of the
   /// enclosing batch (DESIGN.md §10). While a window is set, the first
-  /// Get() of a column inside it decodes that column in bulk to the
-  /// window's end — laziness stays column-granular (untouched columns
-  /// still skip), but a touched column pays one NextBatch instead of one
-  /// ReadValue per row. rows == 0 restores pure per-row laziness.
+  /// Get() of a typed-lane column (bool/int/double/string/bytes) inside it
+  /// decodes that column in bulk to the window's end, so a touched
+  /// primitive column pays one NextBatch instead of one ReadValue per row.
+  /// Array, map and record columns never decode ahead: they always take
+  /// the per-value path, SkipRows(curPos - lastPos) + ReadValue, so only
+  /// the values the map function reads are built. Untouched columns still
+  /// skip. rows == 0 restores pure per-row laziness for every column.
   void SetBatchWindow(uint64_t start, uint64_t rows) {
     win_start_ = start;
     win_rows_ = rows;
@@ -46,11 +49,11 @@ class LazyRecord final : public Record {
  private:
   struct ColumnState {
     ColumnFileReader* reader = nullptr;
+    /// What Get() hands out for cached_row.
     Value cached;
     uint64_t cached_row = UINT64_MAX;
-    /// Points at `cached` or into `batch`; what Get() hands out.
-    const Value* cached_ptr = nullptr;
-    /// Rows [batch_start, batch_start + batch.size()) decoded ahead.
+    /// Typed-lane columns: rows [batch_start, batch_start + batch.size())
+    /// decoded ahead.
     ColumnBatch batch;
     uint64_t batch_start = 0;
   };

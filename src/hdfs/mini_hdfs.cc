@@ -8,6 +8,7 @@
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <string_view>
 #include <thread>
 
 #include "common/coding.h"
@@ -207,17 +208,19 @@ Status MiniHdfs::ListDir(const std::string& path,
   std::string prefix = path;
   if (prefix.empty() || prefix.back() != '/') prefix += '/';
   std::shared_lock lock(mu_);
-  std::set<std::string> unique_children;
-  for (const auto& [file_path, meta] : files_) {
-    if (file_path.size() > prefix.size() &&
-        file_path.compare(0, prefix.size(), prefix) == 0) {
-      const std::string rest = file_path.substr(prefix.size());
-      const size_t slash = rest.find('/');
-      unique_children.insert(slash == std::string::npos ? rest
-                                                        : rest.substr(0, slash));
-    }
+  // Paths under `prefix` form one contiguous run of the sorted namespace.
+  // A subdirectory's files need not be adjacent to each other ("a.b" sorts
+  // between "a" and "a/x"), so de-duplicate after the scan.
+  for (auto it = files_.upper_bound(prefix);
+       it != files_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    const std::string_view rest =
+        std::string_view(it->first).substr(prefix.size());
+    children->emplace_back(rest.substr(0, rest.find('/')));
   }
-  children->assign(unique_children.begin(), unique_children.end());
+  std::sort(children->begin(), children->end());
+  children->erase(std::unique(children->begin(), children->end()),
+                  children->end());
   if (children->empty()) {
     return Status::NotFound("empty or missing directory: " + path);
   }

@@ -384,13 +384,12 @@ Status MapOutputBuffer::SortAndSpill() {
   // The sort whose stability the whole determinism argument leans on:
   // equal (partition, key) entries keep emission order, so every run is
   // a contiguous slice of the stable sort of this task's output.
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const BufferedPair& a, const BufferedPair& b) {
-                     if (a.partition != b.partition) {
-                       return a.partition < b.partition;
-                     }
-                     return a.key.Compare(b.key) < 0;
-                   });
+  const auto by_partition_key = [](const BufferedPair& a,
+                                   const BufferedPair& b) {
+    if (a.partition != b.partition) return a.partition < b.partition;
+    return a.key.Compare(b.key) < 0;
+  };
+  std::stable_sort(entries_.begin(), entries_.end(), by_partition_key);
 
   if (options_.combiner != nullptr) {
     // Fold each (partition, key) group through the combiner — Hadoop's
@@ -421,13 +420,11 @@ Status MapOutputBuffer::SortAndSpill() {
       }
       i = j;
     }
-    std::stable_sort(folded.begin(), folded.end(),
-                     [](const BufferedPair& a, const BufferedPair& b) {
-                       if (a.partition != b.partition) {
-                         return a.partition < b.partition;
-                       }
-                       return a.key.Compare(b.key) < 0;
-                     });
+    // A key-preserving combiner leaves `folded` sorted already, and a
+    // stable sort of sorted input is the identity.
+    if (!std::is_sorted(folded.begin(), folded.end(), by_partition_key)) {
+      std::stable_sort(folded.begin(), folded.end(), by_partition_key);
+    }
     entries_ = std::move(folded);
   }
 

@@ -77,10 +77,7 @@ class ColumnBatch {
 
   /// True when values of this batch's kind live in the boxed Value lane
   /// (array/map/record) rather than a typed lane.
-  bool is_boxed() const {
-    return kind_ == TypeKind::kArray || kind_ == TypeKind::kMap ||
-           kind_ == TypeKind::kRecord;
-  }
+  bool is_boxed() const { return IsBoxedKind(kind_); }
 
   // ---- Appenders (producer side) ----
   void AppendNull() {

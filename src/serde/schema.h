@@ -23,6 +23,13 @@ enum class TypeKind : uint8_t {
   kRecord,  // record { name: T, ... }
 };
 
+/// True for the nested kinds (array/map/record): a ColumnBatch keeps their
+/// values in its boxed Value lane rather than a typed lane.
+inline bool IsBoxedKind(TypeKind kind) {
+  return kind == TypeKind::kArray || kind == TypeKind::kMap ||
+         kind == TypeKind::kRecord;
+}
+
 /// Immutable type descriptor, shared via shared_ptr. Models the complex
 /// types the paper targets (Fig. 2): primitives, arrays, string-keyed maps,
 /// and nested records. Schemas are written to CIF split-directories and to
@@ -56,10 +63,7 @@ class Schema {
   static Status Parse(const std::string& text, Ptr* schema);
 
   TypeKind kind() const { return kind_; }
-  bool is_primitive() const {
-    return kind_ != TypeKind::kArray && kind_ != TypeKind::kMap &&
-           kind_ != TypeKind::kRecord;
-  }
+  bool is_primitive() const { return !IsBoxedKind(kind_); }
 
   /// Element type of an array, or value type of a map.
   const Ptr& element() const { return element_; }

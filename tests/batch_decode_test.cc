@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,6 +27,7 @@
 #include "formats/seq/seq_format.h"
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/engine.h"
+#include "obs/metrics.h"
 #include "serde/batch.h"
 #include "serde/encoding.h"
 #include "workload/synthetic.h"
@@ -568,6 +570,93 @@ TEST(BatchJobTest, ByteIdenticalAcrossFormatsParallelismAndFaults) {
                     baseline);
         }
         fs->SetFaultConfig(FaultConfig{});
+      }
+    }
+  }
+}
+
+// Lazy records stay lazy under a batch window (paper §5.1, Fig. 5): a
+// typed-lane column the mapper reads on every row decodes ahead, but a
+// map column read on 1 row in 16 materializes exactly the touched values,
+// on every layout the map column can take, with output identical to the
+// unwindowed scan.
+TEST(BatchJobTest, LazyMapColumnMaterializesOnlyTouchedRows) {
+  auto fs = MakeFs(37);
+  Schema::Ptr schema = MicrobenchSchema();
+  const std::vector<std::pair<const char*, ColumnLayout>> layouts = {
+      {"plain", ColumnLayout::kPlain},
+      {"skiplist", ColumnLayout::kSkipList},
+      {"dcsl", ColumnLayout::kDictSkipList},
+      {"blocks", ColumnLayout::kCompressedBlocks},
+  };
+  constexpr int kRows = 5000;
+  for (const auto& [name, layout] : layouts) {
+    const std::string path = std::string("/lazy_") + name;
+    CofOptions cof_options;
+    cof_options.split_target_bytes = 256 * 1024;
+    ColumnOptions map_column;
+    map_column.layout = layout;
+    map_column.block_size = 8 * 1024;
+    cof_options.column_overrides["map0"] = map_column;
+    std::unique_ptr<CofWriter> cof;
+    ASSERT_TRUE(CofWriter::Open(fs.get(), path, schema, cof_options, &cof)
+                    .ok());
+    MicrobenchGenerator gen(43);
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(cof->WriteRecord(gen.Next()).ok());
+    }
+    ASSERT_TRUE(cof->Close().ok());
+  }
+
+  Counter* fallback =
+      MetricsRegistry::Default().counter("serde.batch.fallback_values");
+  for (const auto& [name, layout] : layouts) {
+    std::string baseline;
+    for (uint64_t batch_rows : {uint64_t{1}, uint64_t{1024}}) {
+      SCOPED_TRACE(std::string(name) +
+                   " batch_rows=" + std::to_string(batch_rows));
+      // Map tasks run on worker threads (parallelism 0 = all cores).
+      auto touched = std::make_shared<std::atomic<uint64_t>>(0);
+      Job job;
+      job.config.input_paths = {std::string("/lazy_") + name};
+      job.config.projection = {"int0", "map0"};
+      job.config.lazy_records = true;
+      job.config.batch_rows = batch_rows;
+      MetricsRegistry metrics;
+      job.config.metrics = &metrics;
+      job.input_format = std::make_shared<ColumnInputFormat>();
+      job.mapper = [touched](Record& record, Emitter* out) {
+        const int32_t i = record.GetOrDie("int0").int32_value();
+        int64_t size = 0;
+        if ((i & 15) == 0) {
+          ++*touched;
+          size = static_cast<int64_t>(record.GetOrDie("map0").ToString().size());
+        }
+        out->Emit(Value::Int64(i % 10), Value::Int64(size));
+      };
+      job.reducer = [](const Value& key, const std::vector<Value>& values,
+                       Emitter* out) {
+        int64_t total = 0;
+        for (const Value& v : values) total += v.int64_value();
+        out->Emit(key, Value::Int64(total));
+      };
+      const uint64_t fallback_before = fallback->value();
+      JobRunner runner(fs.get());
+      JobReport report;
+      ASSERT_TRUE(runner.Run(job, &report).ok());
+      ASSERT_EQ(report.map_input_records, uint64_t{kRows});
+      // Every row reads int0 once; whatever else was read is map values.
+      const uint64_t map_values =
+          metrics.counter("cif.scan.values_read")->value() - kRows;
+      EXPECT_GT(touched->load(), 0u);
+      EXPECT_LT(touched->load(), uint64_t{kRows} / 8);
+      EXPECT_EQ(map_values, touched->load());
+      EXPECT_EQ(fallback->value() - fallback_before, 0u);
+      const std::string output = SerializeOutput(report);
+      if (baseline.empty()) {
+        baseline = output;
+      } else {
+        EXPECT_EQ(output, baseline);
       }
     }
   }

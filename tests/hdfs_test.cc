@@ -109,6 +109,29 @@ TEST(MiniHdfsTest, ListDirAndDelete) {
   EXPECT_TRUE(fs->Delete("/d/s0/a.col").IsNotFound());
 }
 
+TEST(MiniHdfsTest, ListDirDedupsChildrenAcrossInterleavedSiblings) {
+  // '.' sorts before '/', so the namespace order is /p/a, /p/a.b, /p/a/x,
+  // /p/ab: subdirectory "a" is split by its sibling "a.b". Paths outside
+  // /p, including ones sharing its spelling ("/p.q", "/pa"), stay out.
+  auto fs = MakeFs();
+  for (const char* path :
+       {"/p/a", "/p/a.b", "/p/a/x", "/p/ab", "/p.q/z", "/pa/z", "/o/z"}) {
+    std::unique_ptr<FileWriter> writer;
+    ASSERT_TRUE(fs->Create(path, &writer).ok());
+    writer->Append(Slice("x"));
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  std::vector<std::string> children;
+  ASSERT_TRUE(fs->ListDir("/p", &children).ok());
+  EXPECT_EQ(children, (std::vector<std::string>{"a", "a.b", "ab"}));
+  ASSERT_TRUE(fs->ListDir("/p/", &children).ok());
+  EXPECT_EQ(children, (std::vector<std::string>{"a", "a.b", "ab"}));
+  ASSERT_TRUE(fs->ListDir("/p/a", &children).ok());
+  EXPECT_EQ(children, (std::vector<std::string>{"x"}));
+  EXPECT_TRUE(fs->ListDir("/p/ab", &children).IsNotFound());
+  EXPECT_TRUE(children.empty());
+}
+
 TEST(MiniHdfsTest, RenameMovesFileAtomically) {
   auto fs = MakeFs();
   const std::string payload = Pattern(2500);
