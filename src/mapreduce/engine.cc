@@ -20,7 +20,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serde/encoding.h"
-#include "serde/predicate.h"
 
 namespace colmr {
 
@@ -530,9 +529,8 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
       }
       // Per-attempt wall-clock deadline (task_timeout_ms) and supersede
       // polling. Both checks are cheap but not free (a steady_clock read,
-      // an atomic load), so the scalar loop polls every 64 records and
-      // the batch loop once per batch. `interrupted` leaves the abort
-      // reason in abort_status.
+      // an atomic load), so the map loop polls once per batch.
+      // `interrupted` leaves the abort reason in abort_status.
       const double timeout_seconds = job.config.task_timeout_ms > 0
                                          ? job.config.task_timeout_ms / 1e3
                                          : 0;
@@ -571,60 +569,14 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
                                   : &emitter;
       ThreadCpuStopwatch watch;
       // Predicate filter (DESIGN.md §13): rows reach the mapper only when
-      // the job predicate is TRUE. The format may have evaluated it
-      // already (selection()); otherwise the engine filters row-wise
-      // here, so output is identical with pushdown on or off.
-      const Predicate* predicate = job.config.predicate.get();
-      if (job.config.batch_rows <= 1) {
-        // Scalar path, bit-for-bit the pre-batch engine.
-        uint64_t tick = 0;
-        while (reader->Next()) {
-          if ((++tick & 63) == 0 && interrupted()) break;
-          if (predicate != nullptr) {
-            Status eval;
-            const Tri pass = EvalPredicateRow(*predicate, reader->record(),
-                                              &eval);
-            if (!eval.ok()) {
-              abort_status = eval;
-              break;
-            }
-            if (pass != Tri::kTrue) continue;
-          }
-          job.mapper(reader->record(), map_out);
-          ++task->input_records;
-        }
-      } else {
-        uint64_t filled;
-        while ((filled = reader->FillBatch(job.config.batch_rows)) > 0) {
-          if (interrupted()) break;
-          const std::vector<uint32_t>* selection = reader->selection();
-          if (selection != nullptr) {
-            for (const uint32_t r : *selection) {
-              job.mapper(reader->RecordAt(r), map_out);
-            }
-            task->input_records += selection->size();
-          } else if (predicate != nullptr) {
-            Status eval;
-            for (uint64_t r = 0; r < filled; ++r) {
-              Record& record = reader->RecordAt(r);
-              const Tri pass = EvalPredicateRow(*predicate, record, &eval);
-              if (!eval.ok()) break;
-              if (pass != Tri::kTrue) continue;
-              job.mapper(record, map_out);
-              ++task->input_records;
-            }
-            if (!eval.ok()) {
-              abort_status = eval;
-              break;
-            }
-          } else {
-            for (uint64_t r = 0; r < filled; ++r) {
-              job.mapper(reader->RecordAt(r), map_out);
-            }
-            task->input_records += filled;
-          }
-        }
-      }
+      // the job predicate is TRUE, whether the format evaluated it
+      // (selection()) or the loop does row-wise, so output is identical
+      // with pushdown on or off.
+      const Status scan = ScanRecords(
+          reader.get(), job.config.batch_rows, job.config.predicate.get(),
+          interrupted, [&](Record& record) { job.mapper(record, map_out); },
+          &task->input_records);
+      if (abort_status.ok()) abort_status = scan;
       // Map-side combine (in-memory path; the spill buffer combines at
       // spill time instead): sort this task's output, fold runs of equal
       // keys through the combiner, and ship the (usually much smaller)
@@ -647,6 +599,9 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
       }
       task->cpu_seconds = watch.ElapsedSeconds();
       status = abort_status.ok() ? reader->status() : abort_status;
+      // Close the reader inside this attempt's span and slot: its teardown
+      // is part of the task, not of whatever the thread runs next.
+      reader.reset();
       if (spill_buffer != nullptr) {
         out->runs = spill_buffer->TakeRuns();
         out->spills = spill_buffer->spills();

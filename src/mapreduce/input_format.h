@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "hdfs/mini_hdfs.h"
+#include "serde/predicate.h"
 #include "serde/record.h"
 
 namespace colmr {
@@ -47,8 +48,8 @@ class RecordReader {
   virtual Status status() const = 0;
 
   // ---- Batch protocol (DESIGN.md §10) ----
-  // The engine drives readers batch-at-a-time when JobConfig::batch_rows
-  // > 1: FillBatch makes up to max_rows records resident, RecordAt
+  // The map loop (ScanRecords below) drives every reader batch-at-a-time:
+  // FillBatch makes up to JobConfig::batch_rows records resident, RecordAt
   // addresses them. The base implementation adapts any scalar reader as a
   // one-row batch, so row formats participate without changes; CIF
   // overrides both to decode columns in bulk.
@@ -76,6 +77,48 @@ class RecordReader {
   /// rows itself. Valid until the next FillBatch call.
   virtual const std::vector<uint32_t>* selection() const { return nullptr; }
 };
+
+/// The map loop (DESIGN.md §10, §13), shared by the engine's map attempts
+/// and the bench scans. Drives `reader` through FillBatch(batch_rows)
+/// (0 counts as 1) and calls fn(Record&) on every row that reaches the map
+/// function, adding their number to *mapped once per batch. The rows of a
+/// batch are the reader's selection() when it made one; else, with a
+/// predicate, the rows EvalPredicateRow finds TRUE, each evaluated and
+/// mapped in one forward pass so lazy records stay forward-only; else all
+/// of them. interrupted() is polled once per filled batch and ends the
+/// loop when true. Returns the first predicate evaluation error; reader
+/// errors stay in reader->status().
+template <typename Interrupted, typename Fn>
+Status ScanRecords(RecordReader* reader, uint64_t batch_rows,
+                   const Predicate* predicate, Interrupted&& interrupted,
+                   Fn&& fn, uint64_t* mapped) {
+  const uint64_t max_rows = batch_rows > 0 ? batch_rows : 1;
+  uint64_t filled;
+  while ((filled = reader->FillBatch(max_rows)) > 0) {
+    if (interrupted()) break;
+    if (const std::vector<uint32_t>* selection = reader->selection()) {
+      for (const uint32_t r : *selection) fn(reader->RecordAt(r));
+      *mapped += selection->size();
+    } else if (predicate != nullptr) {
+      uint64_t passed = 0;
+      Status eval;
+      for (uint64_t r = 0; r < filled; ++r) {
+        Record& record = reader->RecordAt(r);
+        const Tri pass = EvalPredicateRow(*predicate, record, &eval);
+        if (!eval.ok()) break;
+        if (pass != Tri::kTrue) continue;
+        fn(record);
+        ++passed;
+      }
+      *mapped += passed;
+      if (!eval.ok()) return eval;
+    } else {
+      for (uint64_t r = 0; r < filled; ++r) fn(reader->RecordAt(r));
+      *mapped += filled;
+    }
+  }
+  return Status::OK();
+}
 
 /// The central Hadoop extensibility point the paper builds on (Section 2):
 /// generates splits for the scheduler and turns a split into typed records

@@ -59,10 +59,10 @@ struct JobConfig {
   uint64_t split_size = 0;
 
   /// Rows the engine asks a record reader to make resident per
-  /// FillBatch() call (DESIGN.md §10). 1 disables batching and drives the
-  /// reader through the exact pre-batch Next()/record() path; values > 1
-  /// let CIF decode columns in bulk (row formats degrade to one-row
-  /// batches). Output is byte-identical across settings.
+  /// FillBatch() call (DESIGN.md §10). 1 means one-row batches through the
+  /// one loop (ScanRecords); values > 1 let CIF decode columns in bulk
+  /// (row formats degrade to one-row batches). Output is byte-identical
+  /// across settings.
   uint64_t batch_rows = 1024;
 
   /// Worker threads for task execution. 0 (default) sizes the pool to

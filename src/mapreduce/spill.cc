@@ -91,6 +91,12 @@ Status SpillRunWriter::Append(int partition, const Value& key,
   const size_t key_len = scratch_.size();
   EncodeTaggedValue(value, &scratch_);
   const size_t value_len = scratch_.size() - key_len;
+  // serde.shuffle.values_{encoded,decoded} count the tagged values of
+  // spill records only (a key and a value each), in the process-global
+  // registry with the other serde.* counters.
+  static Counter* encoded =
+      MetricsRegistry::Default().counter("serde.shuffle.values_encoded");
+  encoded->Increment(2);
 
   PutVarint64(&block_, key_len);
   block_.Append(scratch_.AsSlice().Prefix(key_len));
@@ -245,6 +251,9 @@ bool SpillSegmentCursor::Next() {
   }
   if (!status_.ok()) return false;
   cursor_.RemovePrefix(value_len);
+  static Counter* decoded =
+      MetricsRegistry::Default().counter("serde.shuffle.values_decoded");
+  decoded->Increment(2);
   return true;
 }
 

@@ -23,8 +23,6 @@ Counter* SerdeCounter(const char* name) {
 Status EncodeValueRec(const Schema& schema, const Value& value, Buffer* dst);
 Status DecodeValueRec(const Schema& schema, Slice* input, Value* out);
 Status SkipValueRec(const Schema& schema, Slice* input);
-void EncodeTaggedValueRec(const Value& value, Buffer* dst);
-Status DecodeTaggedValueRec(Slice* input, Value* out);
 
 Status EncodeValueRec(const Schema& schema, const Value& value, Buffer* dst) {
   if (schema.kind() != value.kind()) {
@@ -223,7 +221,9 @@ Status SkipValueRec(const Schema& schema, Slice* input) {
   return Status::Corruption("skip: unknown kind");
 }
 
-void EncodeTaggedValueRec(const Value& value, Buffer* dst) {
+}  // namespace
+
+void EncodeTaggedValue(const Value& value, Buffer* dst) {
   dst->PushBack(static_cast<char>(value.kind()));
   switch (value.kind()) {
     case TypeKind::kNull:
@@ -248,7 +248,7 @@ void EncodeTaggedValueRec(const Value& value, Buffer* dst) {
     case TypeKind::kRecord: {
       const auto& elems = value.elements();
       PutVarint64(dst, elems.size());
-      for (const Value& e : elems) EncodeTaggedValueRec(e, dst);
+      for (const Value& e : elems) EncodeTaggedValue(e, dst);
       break;
     }
     case TypeKind::kMap: {
@@ -256,14 +256,14 @@ void EncodeTaggedValueRec(const Value& value, Buffer* dst) {
       PutVarint64(dst, entries.size());
       for (const auto& [k, v] : entries) {
         PutLengthPrefixed(dst, k);
-        EncodeTaggedValueRec(v, dst);
+        EncodeTaggedValue(v, dst);
       }
       break;
     }
   }
 }
 
-Status DecodeTaggedValueRec(Slice* input, Value* out) {
+Status DecodeTaggedValue(Slice* input, Value* out) {
   if (input->empty()) return Status::Corruption("tagged: empty");
   const TypeKind kind = static_cast<TypeKind>((*input)[0]);
   input->RemovePrefix(1);
@@ -313,7 +313,7 @@ Status DecodeTaggedValueRec(Slice* input, Value* out) {
       elems.reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         Value v;
-        COLMR_RETURN_IF_ERROR(DecodeTaggedValueRec(input, &v));
+        COLMR_RETURN_IF_ERROR(DecodeTaggedValue(input, &v));
         elems.push_back(std::move(v));
       }
       *out = kind == TypeKind::kArray ? Value::Array(std::move(elems))
@@ -330,7 +330,7 @@ Status DecodeTaggedValueRec(Slice* input, Value* out) {
         Slice key;
         COLMR_RETURN_IF_ERROR(GetLengthPrefixed(input, &key));
         Value v;
-        COLMR_RETURN_IF_ERROR(DecodeTaggedValueRec(input, &v));
+        COLMR_RETURN_IF_ERROR(DecodeTaggedValue(input, &v));
         entries.emplace_back(std::string(key.data(), key.size()),
                              std::move(v));
       }
@@ -340,8 +340,6 @@ Status DecodeTaggedValueRec(Slice* input, Value* out) {
   }
   return Status::Corruption("tagged: unknown kind");
 }
-
-}  // namespace
 
 Status EncodeValue(const Schema& schema, const Value& value, Buffer* dst) {
   static Counter* values = SerdeCounter("serde.encode.values");
@@ -479,18 +477,6 @@ size_t EncodedSize(const Schema& schema, const Value& value) {
   Buffer tmp;
   EncodeValueRec(schema, value, &tmp);
   return tmp.size();
-}
-
-void EncodeTaggedValue(const Value& value, Buffer* dst) {
-  static Counter* values = SerdeCounter("serde.shuffle.values_encoded");
-  values->Increment();
-  EncodeTaggedValueRec(value, dst);
-}
-
-Status DecodeTaggedValue(Slice* input, Value* out) {
-  static Counter* values = SerdeCounter("serde.shuffle.values_decoded");
-  values->Increment();
-  return DecodeTaggedValueRec(input, out);
 }
 
 size_t TaggedEncodedSize(const Value& value) {

@@ -30,6 +30,7 @@
 #include "obs/metrics.h"
 #include "serde/batch.h"
 #include "serde/encoding.h"
+#include "serde/predicate.h"
 #include "workload/synthetic.h"
 
 namespace colmr {
@@ -657,6 +658,172 @@ TEST(BatchJobTest, LazyMapColumnMaterializesOnlyTouchedRows) {
         baseline = output;
       } else {
         EXPECT_EQ(output, baseline);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Reader-level scalar oracle: jobs reach CIF readers only through the map
+// loop (ScanRecords), so CifRecordReader::Next()/record() with
+// EvalPredicateRow applied is checked against it here, split by split.
+// ---------------------------------------------------------------------
+
+// seq ascends, so `seq` predicates prune rowgroups through zone maps; map0
+// lets the DCSL layout take part.
+Schema::Ptr OracleSchema() {
+  return Schema::Record("Oracle", {{"seq", Schema::Int64()},
+                                   {"str0", Schema::String()},
+                                   {"int0", Schema::Int32()},
+                                   {"map0", Schema::Map(Schema::Int32())}});
+}
+
+struct OracleScan {
+  std::vector<std::string> rows;  // tagged encodings of the projection
+  std::string status;             // every split's final status, in order
+};
+
+std::string EncodeRow(Record& record, const std::vector<std::string>& names) {
+  Buffer row;
+  for (const std::string& name : names) {
+    EncodeTaggedValue(record.GetOrDie(name), &row);
+  }
+  return row.str();
+}
+
+// Scans every split of `config`'s input, through Next()/record() plus
+// EvalPredicateRow when batch_rows == 0, else through ScanRecords.
+OracleScan ScanSplits(MiniHdfs* fs, const JobConfig& config,
+                      uint64_t batch_rows) {
+  ColumnInputFormat format;
+  std::vector<InputSplit> splits;
+  EXPECT_TRUE(format.GetSplits(fs, config, &splits).ok());
+  OracleScan scan;
+  const std::vector<std::string>& names = config.projection;
+  for (const InputSplit& split : splits) {
+    std::unique_ptr<RecordReader> reader;
+    Status s = format.CreateRecordReader(fs, config, split, ReadContext{},
+                                         &reader);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    if (!s.ok()) continue;
+    Status eval;
+    if (batch_rows == 0) {
+      while (eval.ok() && reader->Next()) {
+        Record& record = reader->record();
+        if (config.predicate != nullptr &&
+            EvalPredicateRow(*config.predicate, record, &eval) != Tri::kTrue) {
+          continue;
+        }
+        scan.rows.push_back(EncodeRow(record, names));
+      }
+    } else {
+      const size_t before = scan.rows.size();
+      uint64_t mapped = 0;
+      eval = ScanRecords(
+          reader.get(), batch_rows, config.predicate.get(),
+          [] { return false; },
+          [&](Record& record) {
+            scan.rows.push_back(EncodeRow(record, names));
+          },
+          &mapped);
+      EXPECT_EQ(mapped, scan.rows.size() - before);
+    }
+    scan.status += eval.ToString() + "/" + reader->status().ToString() + ";";
+  }
+  return scan;
+}
+
+TEST(ScanRecordsTest, MatchesScalarReaderOracle) {
+  auto fs = MakeFs(38);
+  const std::vector<std::pair<const char*, ColumnOptions>> layouts = [] {
+    ColumnOptions blocks;
+    blocks.layout = ColumnLayout::kCompressedBlocks;
+    blocks.block_size = 8 * 1024;
+    return std::vector<std::pair<const char*, ColumnOptions>>{
+        {"plain", {ColumnLayout::kPlain}},
+        {"skiplist", {ColumnLayout::kSkipList}},
+        {"dcsl", {ColumnLayout::kDictSkipList}},
+        {"blocks", blocks},
+    };
+  }();
+  constexpr int kRows = 3000;
+  for (const auto& [name, options] : layouts) {
+    CofOptions cof_options;
+    cof_options.split_target_bytes = 192 * 1024;
+    if (options.layout == ColumnLayout::kDictSkipList) {
+      cof_options.default_column = {ColumnLayout::kSkipList};
+      cof_options.column_overrides["map0"] = options;
+    } else {
+      cof_options.default_column = options;
+    }
+    std::unique_ptr<CofWriter> cof;
+    ASSERT_TRUE(CofWriter::Open(fs.get(), std::string("/oracle_") + name,
+                                OracleSchema(), cof_options, &cof)
+                    .ok());
+    MicrobenchGenerator gen(44);
+    for (int64_t i = 0; i < kRows; ++i) {
+      const Value micro = gen.Next();
+      ASSERT_TRUE(cof->WriteRecord(Value::Record({Value::Int64(i),
+                                                  micro.elements()[0],
+                                                  micro.elements()[6],
+                                                  micro.elements()[12]}))
+                      .ok());
+    }
+    ASSERT_TRUE(cof->Close().ok());
+  }
+
+  struct ScanCase {
+    const char* name;
+    std::vector<std::string> projection;
+    const char* where;  // --where text; "" = no predicate
+    bool null_for_missing;
+  };
+  const ScanCase cases[] = {
+      {"all-rows", {"seq", "str0", "int0", "map0"}, "", false},
+      {"where",
+       {"seq", "str0", "int0", "map0"},
+       "seq >= 1100 AND seq < 2100 AND (int0 < 4000 OR str0 >= 'm')",
+       false},
+      {"missing-column",
+       {"seq", "int0", "map0", "absent"},
+       "int0 > 5000 OR absent IS NOT NULL",
+       true},
+  };
+  for (const auto& [layout, options] : layouts) {
+    for (const ScanCase& scan_case : cases) {
+      for (bool lazy : {false, true}) {
+        for (bool pushdown : {false, true}) {
+          if (pushdown && *scan_case.where == '\0') continue;
+          SCOPED_TRACE(std::string(layout) + " " + scan_case.name +
+                       (lazy ? " lazy" : " eager") +
+                       (pushdown ? " pushdown" : " no-pushdown"));
+          JobConfig config;
+          config.input_paths = {std::string("/oracle_") + layout};
+          config.projection = scan_case.projection;
+          config.lazy_records = lazy;
+          config.predicate_pushdown = pushdown;
+          config.null_for_missing_columns = scan_case.null_for_missing;
+          if (*scan_case.where != '\0') {
+            auto predicate = std::make_shared<Predicate>();
+            ASSERT_TRUE(ParsePredicate(scan_case.where, predicate.get()).ok());
+            config.predicate = std::move(predicate);
+          }
+          const OracleScan oracle = ScanSplits(fs.get(), config, 0);
+          ASSERT_GT(oracle.rows.size(), 0u);
+          if (config.predicate != nullptr) {
+            ASSERT_LT(oracle.rows.size(), uint64_t{kRows});
+          } else {
+            ASSERT_EQ(oracle.rows.size(), uint64_t{kRows});
+          }
+          for (uint64_t batch_rows : {uint64_t{1}, uint64_t{7},
+                                      uint64_t{1024}}) {
+            SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+            const OracleScan loop = ScanSplits(fs.get(), config, batch_rows);
+            EXPECT_EQ(loop.rows.size(), oracle.rows.size());
+            EXPECT_TRUE(loop.rows == oracle.rows);
+            EXPECT_EQ(loop.status, oracle.status);
+          }
+        }
       }
     }
   }

@@ -535,6 +535,93 @@ TEST(EngineObservabilityTest, SpansNestAndAreDeterministicAtParallelism1) {
   EXPECT_TRUE(read_in_task);
 }
 
+// Forwards the whole reader protocol to an inner reader and marks its own
+// destruction with a trace instant.
+class CloseMarkingReader final : public RecordReader {
+ public:
+  CloseMarkingReader(std::unique_ptr<RecordReader> inner,
+                     TraceCollector* trace)
+      : inner_(std::move(inner)), trace_(trace) {}
+  ~CloseMarkingReader() override {
+    inner_.reset();
+    TraceInstant(trace_, "reader.close", "test");
+  }
+
+  bool Next() override { return inner_->Next(); }
+  Record& record() override { return inner_->record(); }
+  Status status() const override { return inner_->status(); }
+  uint64_t FillBatch(uint64_t max_rows) override {
+    return inner_->FillBatch(max_rows);
+  }
+  Record& RecordAt(uint64_t i) override { return inner_->RecordAt(i); }
+  const std::vector<uint32_t>* selection() const override {
+    return inner_->selection();
+  }
+
+ private:
+  std::unique_ptr<RecordReader> inner_;
+  TraceCollector* trace_;
+};
+
+class CloseMarkingFormat final : public InputFormat {
+ public:
+  std::string name() const override { return "close-marking"; }
+  using InputFormat::GetSplits;
+  Status GetSplits(MiniHdfs* fs, const JobConfig& config,
+                   const ReadContext& context,
+                   std::vector<InputSplit>* splits) override {
+    return inner_.GetSplits(fs, config, context, splits);
+  }
+  Status CreateRecordReader(MiniHdfs* fs, const JobConfig& config,
+                            const InputSplit& split,
+                            const ReadContext& context,
+                            std::unique_ptr<RecordReader>* reader) override {
+    std::unique_ptr<RecordReader> inner;
+    COLMR_RETURN_IF_ERROR(
+        inner_.CreateRecordReader(fs, config, split, context, &inner));
+    *reader =
+        std::make_unique<CloseMarkingReader>(std::move(inner), context.trace);
+    return Status::OK();
+  }
+
+ private:
+  ColumnInputFormat inner_;
+};
+
+// A map attempt closes its reader inside its own map_task span (and so
+// inside its slot): the k-th reader.close instant lies within, and is
+// recorded before, the k-th map_task span.
+TEST(EngineObservabilityTest, MapTaskSpanCoversReaderClose) {
+  auto fs = WriteMicroDataset(1200, 0.0, false);
+  TraceCollector collector;
+  Job job = MicroScanJob();
+  job.config.trace = &collector;
+  job.input_format = std::make_shared<CloseMarkingFormat>();
+  JobRunner runner(fs.get());
+  JobReport report;
+  ASSERT_TRUE(runner.Run(job, &report).ok());
+  ASSERT_GT(report.map_tasks.size(), 1u);
+
+  std::vector<ParsedEvent> tasks, closes;
+  std::vector<size_t> closes_before_task;
+  for (const ParsedEvent& event : ParseTrace(collector.ToJson())) {
+    if (event.name == "map_task") {
+      tasks.push_back(event);
+      closes_before_task.push_back(closes.size());
+    } else if (event.name == "reader.close") {
+      EXPECT_EQ(event.phase, 'i');
+      closes.push_back(event);
+    }
+  }
+  ASSERT_EQ(tasks.size(), report.map_tasks.size());
+  ASSERT_EQ(closes.size(), tasks.size());
+  for (size_t k = 0; k < tasks.size(); ++k) {
+    SCOPED_TRACE("map task " + std::to_string(k));
+    EXPECT_EQ(closes_before_task[k], k + 1);
+    EXPECT_TRUE(tasks[k].Contains(closes[k]));
+  }
+}
+
 TEST(EngineObservabilityTest, TracePathWritesLoadableFile) {
   auto fs = WriteMicroDataset(600, 0.0, false);
   const std::string path = ::testing::TempDir() + "/colmr_job_trace.json";

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "cif/column_stats.h"
+#include "cif/column_writer.h"
 #include "common/hash.h"
 #include "formats/text/text_format.h"
 #include "hdfs/fault_injector.h"
@@ -384,6 +386,57 @@ TEST(ShuffleSpillTest, SpillsAtLeastTwicePerTaskWhenOutputExceedsBuffer) {
             report.merge_passes);
   EXPECT_EQ(snapshot.counters.at("mr.spill.merge_segments"),
             report.merge_segments);
+}
+
+// serde.shuffle.values_{encoded,decoded} count shuffle records only: a
+// spilling job moves them by two tagged values (key, value) per record
+// spilled and per record merged back, while the tagged min/max values in
+// CIF zone-map footers (CST1) leave them alone.
+TEST(ShuffleSpillTest, ShuffleValueCountersCountOnlySpillRecords) {
+  Counter* encoded =
+      MetricsRegistry::Default().counter("serde.shuffle.values_encoded");
+  Counter* decoded =
+      MetricsRegistry::Default().counter("serde.shuffle.values_decoded");
+  auto fs = MakeFs();
+
+  uint64_t encoded_before = encoded->value();
+  uint64_t decoded_before = decoded->value();
+  std::unique_ptr<ColumnFileWriter> column;
+  ASSERT_TRUE(ColumnFileWriter::Create(fs.get(), "/stats.col",
+                                       Schema::Int64(), ColumnOptions{},
+                                       &column)
+                  .ok());
+  for (int64_t i = 0; i < 2500; ++i) {
+    ASSERT_TRUE(column->Append(Value::Int64(i)).ok());
+  }
+  ASSERT_TRUE(column->Close().ok());
+  ColumnFileStats stats;
+  bool present = false;
+  ASSERT_TRUE(ReadColumnStats(fs.get(), "/stats.col", ReadContext{}, &stats,
+                              &present)
+                  .ok());
+  ASSERT_TRUE(present);
+  ASSERT_TRUE(stats.groups.size() > 1 && stats.groups[0].has_min);
+  EXPECT_EQ(encoded->value() - encoded_before, 0u);
+  EXPECT_EQ(decoded->value() - decoded_before, 0u);
+
+  WriteWords(fs.get(), "/in", 3, 400);
+  Job job = WordCountJob(/*out=*/"", /*with_combiner=*/false);
+  job.config.parallelism = 1;
+  job.config.sort_buffer_bytes = 256;
+  job.config.merge_factor = 1000;  // one merge: each record is read once
+  JobRunner runner(fs.get());
+  JobReport report;
+  encoded_before = encoded->value();
+  decoded_before = decoded->value();
+  ASSERT_TRUE(runner.Run(job, &report).ok());
+  ASSERT_GT(report.spill_count, report.map_tasks.size());
+  ASSERT_EQ(report.merge_passes, 0u);
+  uint64_t merged = 0;
+  for (uint64_t n : report.reduce_input_records) merged += n;
+  EXPECT_EQ(merged, report.map_output_records);
+  EXPECT_EQ(encoded->value() - encoded_before, 2 * report.map_output_records);
+  EXPECT_EQ(decoded->value() - decoded_before, 2 * merged);
 }
 
 // A certain write fault on every block seal must fail the job cleanly —
