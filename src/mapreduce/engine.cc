@@ -25,40 +25,6 @@ namespace colmr {
 
 namespace {
 
-/// Emitter that appends into a vector; used for both map and reduce output.
-class VectorEmitter final : public Emitter {
- public:
-  void Emit(Value key, Value value) override {
-    pairs_.emplace_back(std::move(key), std::move(value));
-  }
-  std::vector<std::pair<Value, Value>>& pairs() { return pairs_; }
-
- private:
-  std::vector<std::pair<Value, Value>> pairs_;
-};
-
-/// Folds runs of equal keys in key-sorted `pairs` through `fn` (combiner or
-/// reducer). The run's values vector is reused across runs and the output
-/// reserved up front, so folding costs no per-run allocations beyond what
-/// the Values themselves own.
-void FoldSortedRuns(std::vector<std::pair<Value, Value>>* pairs,
-                    const ReduceFn& fn, VectorEmitter* out) {
-  out->pairs().reserve(pairs->size());
-  std::vector<Value> values;
-  size_t i = 0;
-  while (i < pairs->size()) {
-    size_t j = i;
-    values.clear();
-    while (j < pairs->size() &&
-           (*pairs)[j].first.Compare((*pairs)[i].first) == 0) {
-      values.push_back(std::move((*pairs)[j].second));
-      ++j;
-    }
-    fn((*pairs)[i].first, values, out);
-    i = j;
-  }
-}
-
 /// Admission control faithful to the simulated cluster: at most
 /// map_slots_per_node tasks execute concurrently on any node, whatever the
 /// pool size. Counters are mutex-guarded; Acquire blocks until the task's
@@ -109,9 +75,19 @@ struct ReduceTaskResult {
   std::vector<std::pair<Value, Value>> pairs;
   double cpu_seconds = 0;
   uint64_t input_records = 0;
-  /// Run segments this reducer's final merge consumed (external shuffle).
-  uint64_t segments_merged = 0;
   /// External shuffle: a spill-read failure in this partition's merge.
+  Status status;
+};
+
+/// Everything one map task hands back to the merge step. Each task owns
+/// its TaskReport (and the IoStats inside it) exclusively while running;
+/// nothing is written to shared sinks until the join. Exactly one of
+/// `pairs` (in-memory shuffle) and `runs` (external shuffle) is used.
+struct MapTaskResult {
+  TaskReport task;
+  std::vector<std::pair<Value, Value>> pairs;
+  std::vector<SpillRun> runs;
+  uint64_t peak_buffer_bytes = 0;
   Status status;
 };
 
@@ -179,6 +155,37 @@ bool SplitIsLocalTo(const InputSplit& split, NodeId node) {
          split.locations.end();
 }
 
+/// Picks the execution node for a split: the least-loaded live node
+/// holding the split's files, unless it is overloaded relative to a
+/// balanced assignment, in which case the scheduler falls back to the
+/// globally least-loaded node and the task reads remotely — Hadoop's
+/// "Node 1 is busy" situation from the paper's Fig. 3 discussion.
+NodeId ScheduleSplit(const MiniHdfs& fs, const InputSplit& split,
+                     const std::vector<int>& node_load, int total_splits) {
+  const int num_nodes = fs.config().num_nodes;
+  // A node is "busy" once it holds more than its balanced share of tasks.
+  const int fair_share =
+      (total_splits + num_nodes - 1) / std::max(1, num_nodes);
+  NodeId best_local = kAnyNode;
+  for (NodeId node : split.locations) {
+    if (node < 0 || node >= num_nodes || fs.IsNodeDead(node)) continue;
+    if (best_local == kAnyNode || node_load[node] < node_load[best_local]) {
+      best_local = node;
+    }
+  }
+  if (best_local != kAnyNode && node_load[best_local] < fair_share) {
+    return best_local;
+  }
+  // Fall back to the globally least-loaded live node (rack-locality is
+  // not modelled): the task will read some or all of its data remotely.
+  NodeId least = kAnyNode;
+  for (NodeId node = 0; node < num_nodes; ++node) {
+    if (fs.IsNodeDead(node)) continue;
+    if (least == kAnyNode || node_load[node] < node_load[least]) least = node;
+  }
+  return least;
+}
+
 /// Fault-salt domain for reduce-output write attempts: the high bit keeps
 /// them disjoint from map-attempt salts (split * 131 + attempt) — see the
 /// draw-keying contract in fault_injector.h.
@@ -217,56 +224,167 @@ struct TaskControl {
   std::atomic<double> started_at{-1.0};
 };
 
+/// `prefix` and a five-digit index: m_00007 (map task 7), r_00002 and
+/// part-r-00002 (reduce partition 2's task and part file).
+std::string IndexedName(const char* prefix, size_t index) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "%s%05zu", prefix, index);
+  return name;
+}
+
+/// Stable-sorts `pairs` by key and returns them folded, run of equal keys
+/// by run, through `fn` (combiner or reducer).
+std::vector<std::pair<Value, Value>> SortAndFold(
+    std::vector<std::pair<Value, Value>> pairs, const ReduceFn& fn) {
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first.Compare(b.first) < 0;
+                   });
+  VectorEmitter out;
+  out.pairs().reserve(pairs.size());
+  EqualKeyFold fold(fn, &out);
+  for (auto& [key, value] : pairs) fold.Add(std::move(key), std::move(value));
+  fold.Flush();
+  return std::move(out.pairs());
+}
+
+/// Writes `pairs` as "key<TAB>value" lines to a new file at `path`.
+Status WriteTextPart(MiniHdfs* fs, const std::string& path,
+                     const WriteContext& context,
+                     const std::vector<std::pair<Value, Value>>& pairs) {
+  std::unique_ptr<FileWriter> writer;
+  COLMR_RETURN_IF_ERROR(fs->Create(path, context, &writer));
+  for (const auto& [key, value] : pairs) {
+    writer->Append(key.ToString() + "\t" + value.ToString() + "\n");
+    if (!writer->status().ok()) break;
+  }
+  return writer->Close();
+}
+
 }  // namespace
 
-/// Everything one map task hands back to the merge step. Each task owns
-/// its TaskReport (and the IoStats inside it) exclusively while running;
-/// nothing is written to shared sinks until the join. Exactly one of
-/// `pairs` (in-memory shuffle) and `runs` (external shuffle) is used.
-struct JobRunner::MapTaskResult {
-  TaskReport task;
-  std::vector<std::pair<Value, Value>> pairs;
-  std::vector<SpillRun> runs;
-  uint64_t spills = 0;
-  uint64_t spilled_bytes = 0;
-  uint64_t records_spilled = 0;
-  uint64_t kv_bytes_spilled = 0;
-  uint64_t peak_buffer_bytes = 0;
-  Status status;
+/// One run of one job: the state its phases share, from the split plan to
+/// the committed output. ExecutePhases calls the public phases in order.
+class JobRunner::Execution {
+ public:
+  Execution(JobRunner* runner, const Job& job, JobReport* report,
+            MetricsRegistry* metrics, TraceCollector* trace,
+            OutputCommitter* committer)
+      : fs_(runner->fs_),
+        cost_model_(runner->cost_model_),
+        job_(job),
+        config_(job.config),
+        report_(report),
+        metrics_(metrics),
+        trace_(trace),
+        committer_(committer) {}
+  /// Deletes a report-only job's shuffle scratch on every exit path.
+  ~Execution() {
+    if (!scratch_root_.empty()) fs_->DeleteRecursive(scratch_root_);
+  }
+  Execution(const Execution&) = delete;
+  Execution& operator=(const Execution&) = delete;
+
+  Status Plan();
+  void MapPhase();
+  Status JoinMapResults();
+  Status Shuffle();
+  Status RunReducers();
+  Status CommitOutput();
+  void CollectOutput();
+
+ private:
+  void Dispatch(size_t n, const std::function<void(size_t)>& task,
+                const std::function<bool(size_t)>& failed,
+                const std::function<void()>& while_running);
+  void RunTask(size_t i);
+  void RunBackup(size_t i);
+  void RecordResult(size_t i, TaskControl* ctrl, MapTaskResult result);
+  void MonitorStragglers();
+  Status RunAttempt(size_t i, int attempt, NodeId node, MapTaskResult* out,
+                    const std::atomic<bool>* superseded);
+  Status MapRecords(size_t i, int attempt, const ReadContext& context,
+                    std::unique_ptr<RecordReader> reader, MapTaskResult* out);
+  std::unique_ptr<MapOutputBuffer> NewSpillBuffer(
+      size_t i, int attempt, const ReadContext& context) const;
+  Status PollAttempt(size_t i, int attempt,
+                     const std::atomic<bool>* superseded,
+                     const MapOutputBuffer* spill_buffer,
+                     const Stopwatch& attempt_watch) const;
+  Status MergePasses();
+  Status MergeGroup(int pass, size_t g,
+                    const std::vector<const SpillRun*>& group,
+                    SpillRun* merged);
+  void ReduceTask(size_t p);
+  Status WritePartition(size_t p);
+  NodeId PickOutputNode(size_t p, const std::set<NodeId>& tried) const;
+  std::string AttemptDir(const std::string& task_id, int attempt) const;
+  void RecordNodeFailure(NodeId node);
+  void CountWriteAttempt(const IoStats& io, int attempt, bool failed);
+
+  MiniHdfs* const fs_;
+  const CostModel& cost_model_;
+  const Job& job_;
+  const JobConfig& config_;
+  JobReport* const report_;
+  MetricsRegistry* const metrics_;
+  TraceCollector* const trace_;
+  OutputCommitter* const committer_;  // null when the job has no output
+  /// Reads outside map attempts: split planning and spill runs.
+  const ReadContext read_context_{kAnyNode, nullptr, 0, metrics_, trace_};
+
+  // The reducer count is fixed before any map task runs because the
+  // external path partitions at emit time. Map-only jobs have no shuffle
+  // to externalize, so sort_buffer_bytes is ignored for them.
+  const int num_reducers_ =
+      !job_.reducer ? 0
+      : config_.num_reduce_tasks > 0
+          ? config_.num_reduce_tasks
+          : fs_->config().num_nodes * fs_->config().reduce_slots_per_node;
+  const bool external_shuffle_ =
+      config_.sort_buffer_bytes > 0 && job_.reducer != nullptr;
+  const bool speculate_ =
+      config_.speculative_execution && config_.parallelism != 1;
+  const int max_attempts_ = std::max(1, config_.max_task_attempts);
+  /// Report-only external-shuffle jobs keep their runs under this private
+  /// /_shuffle directory; empty otherwise.
+  std::string scratch_root_;
+
+  Counter* const m_tasks_launched_ = metrics_->counter("mr.task.launched");
+  Counter* const m_task_retries_ = metrics_->counter("mr.task.retries");
+  Counter* const m_nodes_blacklisted_ =
+      metrics_->counter("mr.node.blacklisted");
+  Gauge* const m_slots_active_ = metrics_->gauge("mr.slots.active");
+  Histogram* const m_task_cpu_micros_ =
+      metrics_->histogram("mr.task.cpu_micros");
+  Counter* const m_spec_launched_ =
+      metrics_->counter("mr.speculative.launched");
+  Counter* const m_spec_won_ = metrics_->counter("mr.speculative.won");
+  Counter* const m_spec_lost_ = metrics_->counter("mr.speculative.lost");
+  Counter* const m_write_retries_ = metrics_->counter("hdfs.write.retries");
+
+  std::vector<InputSplit> splits_;
+  std::vector<NodeId> assigned_node_;
+  SlotGate gate_{fs_->config().num_nodes, fs_->config().map_slots_per_node};
+  RetryTracker retry_{config_.node_blacklist_failures};
+  std::vector<MapTaskResult> results_;
+  std::vector<TaskControl> controls_;
+  Stopwatch phase_clock_;
+  std::atomic<uint64_t> spec_won_{0}, spec_lost_{0};
+
+  /// In-memory shuffle: map output in split order, then its partitions.
+  std::vector<std::pair<Value, Value>> map_output_;
+  std::vector<std::vector<std::pair<Value, Value>>> partitions_;
+  /// External shuffle: winning tasks' runs in (split, spill) order — the
+  /// global sequence order the merge's tie-break reproduces stable sorting
+  /// with — and, after MergePasses, the runs the reducers merge.
+  std::vector<SpillRun> runs_;
+  std::vector<ReduceTaskResult> reduced_;
+
+  // Pools last, so they are joined before the state their tasks use goes.
+  std::unique_ptr<ThreadPool> prefetch_pool_;
+  std::unique_ptr<ThreadPool> pool_;
 };
-
-NodeId JobRunner::ScheduleSplit(const InputSplit& split,
-                                std::vector<int>* node_load, int total_splits,
-                                bool* data_local) const {
-  const int num_nodes = fs_->config().num_nodes;
-  // A node is "busy" once it holds more than its balanced share of tasks.
-  const int fair_share =
-      (total_splits + num_nodes - 1) / std::max(1, num_nodes);
-
-  NodeId best_local = kAnyNode;
-  for (NodeId node : split.locations) {
-    if (node < 0 || node >= num_nodes || fs_->IsNodeDead(node)) continue;
-    if (best_local == kAnyNode || (*node_load)[node] < (*node_load)[best_local]) {
-      best_local = node;
-    }
-  }
-  if (best_local != kAnyNode && (*node_load)[best_local] < fair_share) {
-    *data_local = true;
-    return best_local;
-  }
-  // Fall back to the globally least-loaded live node (rack-locality is
-  // not modelled): the task will read some or all of its data remotely.
-  NodeId least = kAnyNode;
-  for (NodeId node = 0; node < num_nodes; ++node) {
-    if (fs_->IsNodeDead(node)) continue;
-    if (least == kAnyNode || (*node_load)[node] < (*node_load)[least]) {
-      least = node;
-    }
-  }
-  *data_local = std::find(split.locations.begin(), split.locations.end(),
-                          least) != split.locations.end();
-  return least;
-}
 
 Status JobRunner::Run(const Job& job, JobReport* report) {
   MetricsRegistry* metrics = job.config.metrics != nullptr
@@ -332,918 +450,799 @@ Status JobRunner::ExecutePhases(const Job& job, JobReport* report,
                                 MetricsRegistry* metrics,
                                 TraceCollector* trace,
                                 OutputCommitter* committer) {
+  Execution run(this, job, report, metrics, trace, committer);
+  COLMR_RETURN_IF_ERROR(run.Plan());
+  run.MapPhase();
+  COLMR_RETURN_IF_ERROR(run.JoinMapResults());
+  if (job.reducer) {
+    COLMR_RETURN_IF_ERROR(run.Shuffle());
+    COLMR_RETURN_IF_ERROR(run.RunReducers());
+    COLMR_RETURN_IF_ERROR(run.CommitOutput());
+  }
+  run.CollectOutput();
+  return Status::OK();
+}
 
-  // ---- Block cache + prefetch (DESIGN.md §9): attach the shared cache
+// Attaches the block cache, checks the shuffle settings, plans the splits
+// and assigns each its node.
+Status JobRunner::Execution::Plan() {
+  // Block cache + prefetch (DESIGN.md §9): attach the shared cache
   // (idempotent, so repeated jobs share one warm cache) and stand up the
   // dedicated warm-task pool. Prefetch must NOT share the map-task pool:
   // its FIFO queue would order warm tasks after every queued map task,
   // by which time the scan they were meant to overlap has finished.
-  if (job.config.cache_bytes > 0) {
-    fs_->EnsureBlockCache(job.config.cache_bytes, metrics);
+  if (config_.cache_bytes > 0) {
+    fs_->EnsureBlockCache(config_.cache_bytes, metrics_);
+    if (config_.prefetch_depth > 0) {
+      prefetch_pool_ = std::make_unique<ThreadPool>(2);
+    }
   }
-  std::unique_ptr<ThreadPool> prefetch_pool;
-  if (job.config.cache_bytes > 0 && job.config.prefetch_depth > 0) {
-    prefetch_pool = std::make_unique<ThreadPool>(2);
-  }
-
-  // ---- External sort-merge shuffle setup (DESIGN.md §12). The reducer
-  // count is fixed before any map task runs because the external path
-  // partitions at emit time. Map-only jobs have no shuffle to externalize,
-  // so sort_buffer_bytes is ignored for them.
-  const int num_reducers =
-      job.reducer ? (job.config.num_reduce_tasks > 0
-                         ? job.config.num_reduce_tasks
-                         : fs_->config().num_nodes *
-                               fs_->config().reduce_slots_per_node)
-                  : 0;
-  const bool external_shuffle =
-      job.config.sort_buffer_bytes > 0 && job.reducer != nullptr;
-  if (external_shuffle && GetCodec(job.config.spill_codec) == nullptr) {
+  // External sort-merge shuffle (DESIGN.md §12). Spill scratch: with a
+  // committer, runs live inside the task attempt's _temporary scratch
+  // (CommitJob/AbortJob tear them down with it); a job with no output
+  // path gets a private /_shuffle directory, removed by the destructor.
+  if (external_shuffle_ && GetCodec(config_.spill_codec) == nullptr) {
     return Status::InvalidArgument("unknown spill codec");
   }
-  // Spill scratch: with a committer, runs live inside the task attempt's
-  // _temporary scratch (CommitJob/AbortJob tear them down with it); a job
-  // with no output path gets a private /_shuffle directory, removed on
-  // every exit path by the guard below.
-  std::string scratch_root;
-  if (external_shuffle && committer == nullptr) {
+  if (external_shuffle_ && committer_ == nullptr) {
     static std::atomic<uint64_t> scratch_seq{0};
-    scratch_root = "/_shuffle/job-" + std::to_string(scratch_seq.fetch_add(1));
+    scratch_root_ = "/_shuffle/job-" + std::to_string(scratch_seq.fetch_add(1));
   }
-  struct ScratchGuard {
-    MiniHdfs* fs;
-    std::string root;
-    ~ScratchGuard() {
-      if (!root.empty()) fs->DeleteRecursive(root);
-    }
-  } scratch_guard{fs_, scratch_root};
-  auto spill_dir = [&](size_t split, int attempt) -> std::string {
-    char task_id[32];
-    std::snprintf(task_id, sizeof(task_id), "m_%05zu", split);
-    if (committer != nullptr) {
-      return committer->TaskAttemptDir(task_id, attempt);
-    }
-    return scratch_root + "/attempt_" + task_id + "_" +
-           std::to_string(attempt);
-  };
-
-  Counter* m_tasks_launched = metrics->counter("mr.task.launched");
-  Counter* m_task_retries = metrics->counter("mr.task.retries");
-  Counter* m_nodes_blacklisted = metrics->counter("mr.node.blacklisted");
-  Gauge* m_slots_active = metrics->gauge("mr.slots.active");
-  Histogram* m_task_cpu_micros = metrics->histogram("mr.task.cpu_micros");
-  Counter* m_spec_launched = metrics->counter("mr.speculative.launched");
-  Counter* m_spec_won = metrics->counter("mr.speculative.won");
-  Counter* m_spec_lost = metrics->counter("mr.speculative.lost");
-  Counter* m_write_retries = metrics->counter("hdfs.write.retries");
-
-  std::vector<InputSplit> splits;
   {
-    ScopedSpan plan_span(trace, "plan.splits", "mr");
-    ReadContext plan_context;
-    plan_context.metrics = metrics;
-    plan_context.trace = trace;
-    plan_context.readahead_bytes = job.config.readahead_bytes;
+    ScopedSpan plan_span(trace_, "plan.splits", "mr");
+    ReadContext plan_context = read_context_;
+    plan_context.readahead_bytes = config_.readahead_bytes;
     COLMR_RETURN_IF_ERROR(
-        job.input_format->GetSplits(fs_, job.config, plan_context, &splits));
+        job_.input_format->GetSplits(fs_, config_, plan_context, &splits_));
     if (plan_span.active()) {
-      plan_span.AddArg("splits", static_cast<uint64_t>(splits.size()));
+      plan_span.AddArg("splits", static_cast<uint64_t>(splits_.size()));
     }
   }
-  if (splits.empty()) {
+  if (splits_.empty()) {
     return Status::InvalidArgument("input produced no splits");
   }
-
-  // ---- Scheduling: assign every split to its node serially, in split
-  // order, exactly as the serial engine did — the assignment (and with it
-  // all locality accounting) is deterministic and independent of the
-  // thread count tasks later execute with.
+  // Assign every split its node serially, in split order, before any task
+  // runs: the assignment (and with it all locality accounting) is
+  // independent of the thread count tasks later execute with.
   std::vector<int> node_load(fs_->config().num_nodes, 0);
-  std::vector<NodeId> assigned_node(splits.size(), kAnyNode);
-  std::vector<char> assigned_local(splits.size(), 0);
-  for (size_t i = 0; i < splits.size(); ++i) {
-    bool data_local = false;
-    assigned_node[i] = ScheduleSplit(splits[i], &node_load,
-                                     static_cast<int>(splits.size()),
-                                     &data_local);
-    if (assigned_node[i] != kAnyNode) node_load[assigned_node[i]] += 1;
-    assigned_local[i] = data_local ? 1 : 0;
+  for (const InputSplit& split : splits_) {
+    const NodeId node = ScheduleSplit(*fs_, split, node_load,
+                                      static_cast<int>(splits_.size()));
+    if (node != kAnyNode) node_load[node] += 1;
+    assigned_node_.push_back(node);
   }
+  results_.resize(splits_.size());
+  controls_ = std::vector<TaskControl>(splits_.size());
+  return Status::OK();
+}
 
+// Runs every map task, retries and backups included, then fills the
+// failure and recovery counters — before the join, so a failed job still
+// reports what its recovery machinery did.
+void JobRunner::Execution::MapPhase() {
   const int total_slots = fs_->config().TotalMapSlots();
-  int threads;
-  if (job.config.parallelism == 1) {
-    threads = 1;
-  } else if (job.config.parallelism > 1) {
+  int threads = 1;
+  if (config_.parallelism > 1) {
     // More threads than cluster slots cannot run: the gate would park them.
-    threads = std::min(job.config.parallelism, std::max(1, total_slots));
-  } else {
+    threads = std::min(config_.parallelism, std::max(1, total_slots));
+  } else if (config_.parallelism != 1) {
     threads = ThreadPool::DefaultThreads(total_slots);
   }
-  report->worker_threads = threads;
-
-  // ---- Map phase: execute every task, measuring per-thread CPU and
-  // counting I/O into task-private sinks.
-  SlotGate gate(fs_->config().num_nodes, fs_->config().map_slots_per_node);
-  RetryTracker retry(job.config.node_blacklist_failures);
-  std::vector<MapTaskResult> results(splits.size());
-
-  // Speculation / deadline machinery. Controls exist even when both
-  // features are off — the checks they feed are gated, so the fast path
-  // only pays an untaken branch.
-  const bool speculate =
-      job.config.speculative_execution && job.config.parallelism != 1;
-  std::vector<std::unique_ptr<TaskControl>> controls(splits.size());
-  for (auto& control : controls) control = std::make_unique<TaskControl>();
-  Stopwatch phase_clock;
-  std::atomic<size_t> tasks_recorded{0};
-  std::atomic<uint64_t> spec_launched{0}, spec_won{0}, spec_lost{0};
-
-  // One execution of one map task on one node. Everything the attempt
-  // produces lands in attempt-private state, so a failed attempt can be
-  // discarded wholesale and retried. `superseded` (may be null) is the
-  // early-exit hint: once another attempt of the same task has recorded
-  // the result, this attempt stops reading and returns — its output is
-  // discarded either way, and a losing straggler must not hold the job's
-  // wall clock hostage.
-  auto run_attempt = [&](size_t i, int attempt, NodeId node, bool data_local,
-                         MapTaskResult* out,
-                         const std::atomic<bool>* superseded) {
-    TaskReport* task = &out->task;
-    task->split_index = static_cast<int>(i);
-    task->node = node;
-    task->data_local = data_local;
-
-    {
-      ScopedSpan wait_span(trace, "slot_wait", "mr");
-      gate.Acquire(node);
-      if (wait_span.active()) wait_span.AddArg("node", node);
-    }
-    m_slots_active->Add(1);
-    m_tasks_launched->Increment();
-    // The map_task span lives on the executing thread, so the hdfs.read
-    // spans its record reader emits nest inside it on the same track.
-    ScopedSpan task_span(trace, "map_task", "mr");
-    if (task_span.active()) {
-      task_span.AddArg("split", static_cast<uint64_t>(i));
-      task_span.AddArg("node", node);
-      task_span.AddArg("attempt", attempt);
-      task_span.AddArg("data_local", data_local);
-    }
-    // The salt keys this attempt's deterministic fault schedule: a retry
-    // of the same split draws fresh outcomes, whatever thread runs it.
-    ReadContext context{node, &task->io,
-                        static_cast<uint64_t>(i) * 131 +
-                            static_cast<uint64_t>(attempt),
-                        metrics, trace};
-    context.readahead_bytes = job.config.readahead_bytes;
-    context.prefetch_depth = job.config.prefetch_depth;
-    context.prefetch_pool = prefetch_pool.get();
-    context.cancel = superseded;
-    std::unique_ptr<RecordReader> reader;
-    Status status = job.input_format->CreateRecordReader(
-        fs_, job.config, splits[i], context, &reader);
-    if (status.ok()) {
-      // External shuffle: the task's emitter is a bounded sort buffer that
-      // spills sorted runs into this attempt's private scratch. Spill
-      // writes draw from their own fault-salt domain, so injected write
-      // faults hit spills and output writes independently.
-      std::unique_ptr<MapOutputBuffer> spill_buffer;
-      if (external_shuffle) {
-        MapOutputBuffer::Options opts;
-        opts.fs = fs_;
-        opts.scratch_dir = spill_dir(i, attempt);
-        opts.write_context =
-            WriteContext{node, &task->io,
-                         kSpillWriteSaltDomain |
-                             (static_cast<uint64_t>(i) * 131 +
-                              static_cast<uint64_t>(attempt)),
-                         metrics};
-        opts.num_partitions = num_reducers;
-        opts.sort_buffer_bytes = job.config.sort_buffer_bytes;
-        opts.combiner = job.combiner ? &job.combiner : nullptr;
-        opts.codec = job.config.spill_codec;
-        opts.metrics = metrics;
-        opts.trace = trace;
-        spill_buffer = std::make_unique<MapOutputBuffer>(std::move(opts));
-      }
-      // Per-attempt wall-clock deadline (task_timeout_ms) and supersede
-      // polling. Both checks are cheap but not free (a steady_clock read,
-      // an atomic load), so the map loop polls once per batch.
-      // `interrupted` leaves the abort reason in abort_status.
-      const double timeout_seconds = job.config.task_timeout_ms > 0
-                                         ? job.config.task_timeout_ms / 1e3
-                                         : 0;
-      const bool poll = timeout_seconds > 0 || superseded != nullptr ||
-                        spill_buffer != nullptr;
-      Stopwatch attempt_watch;
-      Status abort_status;
-      auto interrupted = [&]() -> bool {
-        if (!poll) return false;
-        if (superseded != nullptr &&
-            superseded->load(std::memory_order_relaxed)) {
-          abort_status = Status::IoError("attempt superseded: task " +
-                                         std::to_string(i) +
-                                         " already has a recorded result");
-          return true;
-        }
-        if (spill_buffer != nullptr && !spill_buffer->status().ok()) {
-          // A spill write failed; the buffer is sticky-bad and mapping on
-          // would only drop output. Fail the attempt into the retry path.
-          abort_status = spill_buffer->status();
-          return true;
-        }
-        if (timeout_seconds > 0 &&
-            attempt_watch.ElapsedSeconds() > timeout_seconds) {
-          abort_status = Status::IoError(
-              "task " + std::to_string(i) + " attempt " +
-              std::to_string(attempt) + " exceeded task_timeout_ms=" +
-              std::to_string(job.config.task_timeout_ms));
-          return true;
-        }
-        return false;
-      };
-      VectorEmitter emitter;
-      Emitter* map_out =
-          spill_buffer != nullptr ? static_cast<Emitter*>(spill_buffer.get())
-                                  : &emitter;
-      ThreadCpuStopwatch watch;
-      // Predicate filter (DESIGN.md §13): rows reach the mapper only when
-      // the job predicate is TRUE, whether the format evaluated it
-      // (selection()) or the loop does row-wise, so output is identical
-      // with pushdown on or off.
-      const Status scan = ScanRecords(
-          reader.get(), job.config.batch_rows, job.config.predicate.get(),
-          interrupted, [&](Record& record) { job.mapper(record, map_out); },
-          &task->input_records);
-      if (abort_status.ok()) abort_status = scan;
-      // Map-side combine (in-memory path; the spill buffer combines at
-      // spill time instead): sort this task's output, fold runs of equal
-      // keys through the combiner, and ship the (usually much smaller)
-      // result.
-      if (abort_status.ok() && spill_buffer == nullptr && job.combiner &&
-          !emitter.pairs().empty()) {
-        auto& all = emitter.pairs();
-        std::stable_sort(all.begin(), all.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first.Compare(b.first) < 0;
-                         });
-        VectorEmitter combined;
-        FoldSortedRuns(&all, job.combiner, &combined);
-        all = std::move(combined.pairs());
-      }
-      // External shuffle: spill the buffer's tail inside the CPU window —
-      // the final sort is map work like the in-memory combine above.
-      if (abort_status.ok() && spill_buffer != nullptr) {
-        abort_status = spill_buffer->Finish();
-      }
-      task->cpu_seconds = watch.ElapsedSeconds();
-      status = abort_status.ok() ? reader->status() : abort_status;
-      // Close the reader inside this attempt's span and slot: its teardown
-      // is part of the task, not of whatever the thread runs next.
-      reader.reset();
-      if (spill_buffer != nullptr) {
-        out->runs = spill_buffer->TakeRuns();
-        out->spills = spill_buffer->spills();
-        out->spilled_bytes = spill_buffer->spilled_bytes();
-        out->records_spilled = spill_buffer->records_spilled();
-        out->kv_bytes_spilled = spill_buffer->kv_bytes_spilled();
-        out->peak_buffer_bytes = spill_buffer->peak_buffer_bytes();
-        task->output_records = spill_buffer->records_spilled();
-      } else {
-        task->output_records = emitter.pairs().size();
-        out->pairs = std::move(emitter.pairs());
-      }
-      if (task_span.active()) {
-        task_span.AddArg("input_records", task->input_records);
-        task_span.AddArg("output_records", task->output_records);
-      }
-      m_task_cpu_micros->Observe(
-          static_cast<uint64_t>(task->cpu_seconds * 1e6));
-    }
-    task_span.End();
-    m_slots_active->Add(-1);
-    gate.Release(node);
-    return status;
-  };
-
-  // One task end-to-end, as either the primary execution (the retry loop:
-  // up to max_task_attempts, fresh node per retry, blacklist feedback) or
-  // the single speculative backup attempt. Whichever execution finishes
-  // first records the task's result under the control lock; the other
-  // discovers ctrl.done, skips recording, and its output is discarded —
-  // exactly one writer of results[i], ever.
-  auto run_task = [&](size_t i, bool is_backup) {
-    TaskControl& ctrl = *controls[i];
-    const int max_attempts = std::max(1, job.config.max_task_attempts);
-    const std::atomic<bool>* supersede_flag = speculate ? &ctrl.done : nullptr;
-
-    if (is_backup) {
-      // One attempt, on a node the primary has not tried (fall back to
-      // reuse when the cluster is exhausted). The attempt index sits past
-      // the primary's range so its fault-schedule salt never collides.
-      std::set<NodeId> tried;
-      {
-        std::lock_guard<std::mutex> lock(ctrl.mu);
-        tried = ctrl.tried;
-      }
-      const NodeId node =
-          PickRetryNode(*fs_, splits[i], tried, retry, assigned_node[i]);
-      MapTaskResult local;
-      Status status = run_attempt(i, max_attempts, node,
-                                  SplitIsLocalTo(splits[i], node), &local,
-                                  supersede_flag);
-      bool won = false;
-      {
-        std::lock_guard<std::mutex> lock(ctrl.mu);
-        ctrl.backup_inflight = false;
-        if (status.ok() && !ctrl.recorded) {
-          ctrl.recorded = true;
-          local.task.attempts = 1;
-          local.task.sim_seconds = cost_model_.TaskSeconds(
-              {local.task.cpu_seconds, local.task.io});
-          local.status = Status::OK();
-          results[i] = std::move(local);
-          ctrl.done.store(true, std::memory_order_relaxed);
-          tasks_recorded.fetch_add(1);
-          won = true;
-        } else if (!status.ok() && ctrl.primary_failed && !ctrl.recorded) {
-          // The primary already failed terminally and deferred to us; the
-          // backup failed too, so the task fails with the primary's error.
-          ctrl.recorded = true;
-          results[i].status = ctrl.primary_status;
-          ctrl.done.store(true, std::memory_order_relaxed);
-          tasks_recorded.fetch_add(1);
-        }
-      }
-      if (won) {
-        spec_won.fetch_add(1);
-        m_spec_won->Increment();
-      } else {
-        spec_lost.fetch_add(1);
-        m_spec_lost->Increment();
-      }
-      TraceInstant(trace, won ? "speculative_won" : "speculative_lost", "mr",
-                   {{"split", TraceCollector::JsonValue(
-                                  static_cast<uint64_t>(i))}});
-      return;
-    }
-
-    // Primary execution. started_at is stamped here — not at submit time —
-    // so a task still queued behind others is never mistaken for a
-    // straggler by the monitor.
-    ctrl.started_at.store(phase_clock.ElapsedSeconds(),
-                          std::memory_order_relaxed);
-    NodeId node = assigned_node[i];
-    bool data_local = assigned_local[i] != 0;
-    IoStats failed_io;
-    double failed_cpu = 0;
-
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-      if (ctrl.done.load(std::memory_order_relaxed)) return;  // backup won
-      {
-        // Move off the scheduled node when it has been blacklisted since
-        // scheduling, and always onto a fresh node for a retry. The tried
-        // set lives in ctrl so a backup can pick a disjoint node.
-        std::lock_guard<std::mutex> lock(ctrl.mu);
-        if (retry.IsBlacklisted(node) || ctrl.tried.count(node) > 0) {
-          node = PickRetryNode(*fs_, splits[i], ctrl.tried, retry, node);
-          data_local = SplitIsLocalTo(splits[i], node);
-        }
-        ctrl.tried.insert(node);
-      }
-
-      MapTaskResult local;
-      Status status =
-          run_attempt(i, attempt, node, data_local, &local, supersede_flag);
-
-      // DataLoss is terminal: no replica anywhere can serve the bytes, so
-      // burning the remaining attempts (or blaming the node) is wrong.
-      if (status.ok() || status.IsDataLoss() || attempt + 1 >= max_attempts) {
-        local.task.attempts = attempt + 1;
-        // The task's cost includes what its failed attempts consumed.
-        local.task.cpu_seconds += failed_cpu;
-        local.task.io.Add(failed_io);
-        std::lock_guard<std::mutex> lock(ctrl.mu);
-        if (ctrl.recorded) return;  // the backup finished first
-        if (!status.ok() && ctrl.backup_inflight) {
-          // Terminal failure while a backup is still running: defer the
-          // verdict — the backup may yet succeed.
-          ctrl.primary_failed = true;
-          ctrl.primary_status = std::move(status);
-          return;
-        }
-        ctrl.recorded = true;
-        ctrl.duration = phase_clock.ElapsedSeconds() -
-                        ctrl.started_at.load(std::memory_order_relaxed);
-        local.task.sim_seconds =
-            cost_model_.TaskSeconds({local.task.cpu_seconds, local.task.io});
-        local.status = std::move(status);
-        results[i] = std::move(local);
-        ctrl.done.store(true, std::memory_order_relaxed);
-        tasks_recorded.fetch_add(1);
-        return;
-      }
-      // Retryable failure — unless this attempt was aborted because the
-      // backup already recorded the task, which is no node's fault and
-      // needs no retry bookkeeping.
-      if (ctrl.done.load(std::memory_order_relaxed)) return;
-      m_task_retries->Increment();
-      TraceInstant(trace, "task_retry", "mr",
-                   {{"split", TraceCollector::JsonValue(
-                                  static_cast<uint64_t>(i))},
-                    {"node", TraceCollector::JsonValue(node)},
-                    {"error", TraceCollector::JsonValue(status.message())}});
-      if (retry.RecordFailure(node)) {
-        m_nodes_blacklisted->Increment();
-        TraceInstant(trace, "node_blacklisted", "mr",
-                     {{"node", TraceCollector::JsonValue(node)}});
-      }
-      failed_cpu += local.task.cpu_seconds;
-      failed_io.Add(local.task.io);
-    }
-  };
-
-  std::unique_ptr<ThreadPool> pool;
+  report_->worker_threads = threads;
   {
-    ScopedSpan map_span(trace, "map_phase", "mr");
+    ScopedSpan map_span(trace_, "map_phase", "mr");
     if (map_span.active()) {
-      map_span.AddArg("tasks", static_cast<uint64_t>(splits.size()));
+      map_span.AddArg("tasks", static_cast<uint64_t>(splits_.size()));
       map_span.AddArg("threads", threads);
     }
-    if (threads > 1) {
-      pool = std::make_unique<ThreadPool>(threads);
-      for (size_t i = 0; i < splits.size(); ++i) {
-        pool->Submit([&run_task, i] { run_task(i, false); });
-      }
-      if (speculate) {
-        // Straggler monitor (Hadoop semantics): once completed tasks give
-        // a median duration, any running task lagging past
-        // max(2 × median, 10 ms) gets ONE backup attempt on another node.
-        // The driver thread plays the JobTracker here, polling while the
-        // pool drains.
-        while (tasks_recorded.load(std::memory_order_relaxed) <
-               splits.size()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          std::vector<double> durations;
-          for (auto& control : controls) {
-            std::lock_guard<std::mutex> lock(control->mu);
-            if (control->recorded) durations.push_back(control->duration);
-          }
-          if (durations.empty()) continue;
-          std::nth_element(durations.begin(),
-                           durations.begin() + durations.size() / 2,
-                           durations.end());
-          const double median = durations[durations.size() / 2];
-          const double threshold = std::max(2 * median, 0.01);
-          const double now = phase_clock.ElapsedSeconds();
-          for (size_t i = 0; i < splits.size(); ++i) {
-            TaskControl& ctrl = *controls[i];
-            const double started =
-                ctrl.started_at.load(std::memory_order_relaxed);
-            if (started < 0 || ctrl.done.load(std::memory_order_relaxed) ||
-                now - started <= threshold) {
-              continue;
-            }
-            bool launch = false;
-            {
-              std::lock_guard<std::mutex> lock(ctrl.mu);
-              if (!ctrl.recorded && !ctrl.backup_launched) {
-                ctrl.backup_launched = true;
-                ctrl.backup_inflight = true;
-                launch = true;
-              }
-            }
-            if (!launch) continue;
-            spec_launched.fetch_add(1);
-            m_spec_launched->Increment();
-            TraceInstant(trace, "speculative_launch", "mr",
-                         {{"split", TraceCollector::JsonValue(
-                                        static_cast<uint64_t>(i))}});
-            pool->Submit([&run_task, i] { run_task(i, true); });
-          }
-        }
-      }
-      pool->Wait();
-    } else {
-      for (size_t i = 0; i < splits.size(); ++i) {
-        run_task(i, false);
-        // Fail fast like the original serial loop (after the task's own
-        // retries are exhausted); the merge below reports the failure.
-        if (!results[i].status.ok()) break;
-      }
-    }
+    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+    Dispatch(
+        splits_.size(), [this](size_t i) { RunTask(i); },
+        [this](size_t i) { return !results_[i].status.ok(); },
+        [this] { MonitorStragglers(); });
   }
-  report->speculative_launched = spec_launched.load();
-  report->speculative_won = spec_won.load();
-  report->speculative_lost = spec_lost.load();
-
-  // ---- Failure/recovery accounting: filled before the merge loop so a
-  // failed job still reports what its recovery machinery did.
-  for (const MapTaskResult& result : results) {
-    if (result.task.attempts > 0) {
-      report->task_retries += static_cast<uint64_t>(result.task.attempts - 1);
-    }
-    report->checksum_failures += result.task.io.checksum_failures;
-    report->failover_reads += result.task.io.failover_reads;
+  report_->speculative_won = spec_won_.load();
+  report_->speculative_lost = spec_lost_.load();
+  for (const MapTaskResult& result : results_) {
+    report_->task_retries += static_cast<uint64_t>(result.task.attempts - 1);
+    report_->checksum_failures += result.task.io.checksum_failures;
+    report_->failover_reads += result.task.io.failover_reads;
     // Spill-write faults of every attempt, winning or not (the in-memory
-    // map path writes nothing, so this is zero there); reduce-output
-    // faults are added where those writes happen.
-    report->write_faults += result.task.io.write_faults;
+    // map path writes nothing, so this is zero there).
+    report_->write_faults += result.task.io.write_faults;
   }
-  report->blacklisted_nodes = retry.blacklisted();
-  report->peak_node_slots = gate.peaks();
+  report_->blacklisted_nodes = retry_.blacklisted();
+  report_->peak_node_slots = gate_.peaks();
+}
 
-  // ---- Join: merge per-task results into the report in split order, so
-  // map output (and everything derived from it) is byte-identical to the
-  // serial engine's.
-  std::vector<std::pair<Value, Value>> map_output;
-  // External shuffle: winning tasks' runs, in (split, spill) order — the
-  // global sequence order the merge's tie-break reproduces stable sorting
-  // with.
-  std::vector<SpillRun> all_runs;
+// Runs task(0) ... task(n - 1). With no pool (parallelism 1), inline on
+// this thread and in order, stopping after the first task `failed`
+// reports. With a pool, every task runs (`failed` is never called: a task
+// may still be recording) and `while_running` (may be empty) runs on this
+// thread until the pool drains.
+void JobRunner::Execution::Dispatch(
+    size_t n, const std::function<void(size_t)>& task,
+    const std::function<bool(size_t)>& failed,
+    const std::function<void()>& while_running) {
+  if (pool_ == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      task(i);
+      if (failed(i)) return;
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) pool_->Submit([&task, i] { task(i); });
+  if (while_running) while_running();
+  pool_->Wait();
+}
+
+// The primary execution of map task i: up to max_task_attempts attempts,
+// a fresh node per retry, blacklist feedback. Whichever of it and the
+// task's backup (RunBackup) finishes first records the result under the
+// control lock; the other finds ctrl.done and its output is discarded —
+// exactly one writer of results_[i], ever.
+void JobRunner::Execution::RunTask(size_t i) {
+  TaskControl& ctrl = controls_[i];
+  const std::atomic<bool>* supersede_flag = speculate_ ? &ctrl.done : nullptr;
+  // Stamped here, not at submit time, so a task still queued behind others
+  // is never mistaken for a straggler by the monitor.
+  ctrl.started_at.store(phase_clock_.ElapsedSeconds(),
+                        std::memory_order_relaxed);
+  NodeId node = assigned_node_[i];
+  IoStats failed_io;
+  double failed_cpu = 0;
+  for (int attempt = 0; attempt < max_attempts_; ++attempt) {
+    if (ctrl.done.load(std::memory_order_relaxed)) return;  // backup won
+    {
+      // Move off the scheduled node when it has been blacklisted since
+      // scheduling, and always onto a fresh node for a retry. The tried
+      // set lives in ctrl so a backup can pick a disjoint node.
+      std::lock_guard<std::mutex> lock(ctrl.mu);
+      if (retry_.IsBlacklisted(node) || ctrl.tried.count(node) > 0) {
+        node = PickRetryNode(*fs_, splits_[i], ctrl.tried, retry_, node);
+      }
+      ctrl.tried.insert(node);
+    }
+    MapTaskResult local;
+    Status status = RunAttempt(i, attempt, node, &local, supersede_flag);
+    // DataLoss is terminal: no replica anywhere can serve the bytes, so
+    // burning the remaining attempts (or blaming the node) is wrong.
+    if (status.ok() || status.IsDataLoss() || attempt + 1 >= max_attempts_) {
+      local.task.attempts = attempt + 1;
+      // The task's cost includes what its failed attempts consumed.
+      local.task.cpu_seconds += failed_cpu;
+      local.task.io.Add(failed_io);
+      std::lock_guard<std::mutex> lock(ctrl.mu);
+      if (ctrl.recorded) return;  // the backup finished first
+      if (!status.ok() && ctrl.backup_inflight) {
+        // Terminal failure while a backup is still running: defer the
+        // verdict — the backup may yet succeed.
+        ctrl.primary_failed = true;
+        ctrl.primary_status = std::move(status);
+        return;
+      }
+      ctrl.duration = phase_clock_.ElapsedSeconds() -
+                      ctrl.started_at.load(std::memory_order_relaxed);
+      local.status = std::move(status);
+      RecordResult(i, &ctrl, std::move(local));
+      return;
+    }
+    // Retryable failure — unless this attempt was aborted because the
+    // backup already recorded the task, which is no node's fault.
+    if (ctrl.done.load(std::memory_order_relaxed)) return;
+    m_task_retries_->Increment();
+    TraceInstant(trace_, "task_retry", "mr",
+                 {{"split", TraceCollector::JsonValue(
+                                static_cast<uint64_t>(i))},
+                  {"node", TraceCollector::JsonValue(node)},
+                  {"error", TraceCollector::JsonValue(status.message())}});
+    RecordNodeFailure(node);
+    failed_cpu += local.task.cpu_seconds;
+    failed_io.Add(local.task.io);
+  }
+}
+
+// The single speculative backup of map task i: one attempt, on a node the
+// primary has not tried (reused when the cluster is exhausted). Its
+// attempt index sits past the primary's range so its fault-schedule salt
+// never collides.
+void JobRunner::Execution::RunBackup(size_t i) {
+  TaskControl& ctrl = controls_[i];
+  NodeId node;
+  {
+    std::lock_guard<std::mutex> lock(ctrl.mu);
+    node = PickRetryNode(*fs_, splits_[i], ctrl.tried, retry_,
+                         assigned_node_[i]);
+  }
+  MapTaskResult local;
+  const Status status = RunAttempt(i, max_attempts_, node, &local, &ctrl.done);
+  bool won = false;
+  {
+    std::lock_guard<std::mutex> lock(ctrl.mu);
+    ctrl.backup_inflight = false;
+    if (status.ok() && !ctrl.recorded) {
+      local.task.attempts = 1;
+      RecordResult(i, &ctrl, std::move(local));
+      won = true;
+    } else if (!status.ok() && ctrl.primary_failed && !ctrl.recorded) {
+      // The primary already failed terminally and deferred to us; the
+      // backup failed too, so the task fails with the primary's error.
+      MapTaskResult failed;
+      failed.status = ctrl.primary_status;
+      RecordResult(i, &ctrl, std::move(failed));
+    }
+  }
+  (won ? spec_won_ : spec_lost_).fetch_add(1);
+  (won ? m_spec_won_ : m_spec_lost_)->Increment();
+  TraceInstant(trace_, won ? "speculative_won" : "speculative_lost", "mr",
+               {{"split", TraceCollector::JsonValue(
+                              static_cast<uint64_t>(i))}});
+}
+
+// Stores task i's result. The caller holds ctrl->mu.
+void JobRunner::Execution::RecordResult(size_t i, TaskControl* ctrl,
+                                        MapTaskResult result) {
+  ctrl->recorded = true;
+  result.task.sim_seconds =
+      cost_model_.TaskSeconds({result.task.cpu_seconds,
+                                        result.task.io});
+  results_[i] = std::move(result);
+  ctrl->done.store(true, std::memory_order_relaxed);
+}
+
+// Straggler monitor (Hadoop semantics): once completed tasks give a median
+// duration, any running task lagging past max(2 × median, 10 ms) gets ONE
+// backup attempt on another node. The driver thread plays the JobTracker
+// here, polling while the pool drains; it returns at once unless the job
+// speculates.
+void JobRunner::Execution::MonitorStragglers() {
+  while (speculate_) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::vector<double> durations;
+    for (TaskControl& control : controls_) {
+      std::lock_guard<std::mutex> lock(control.mu);
+      if (control.recorded) durations.push_back(control.duration);
+    }
+    if (durations.size() == splits_.size()) return;
+    if (durations.empty()) continue;
+    std::nth_element(durations.begin(),
+                     durations.begin() + durations.size() / 2,
+                     durations.end());
+    const double median = durations[durations.size() / 2];
+    const double threshold = std::max(2 * median, 0.01);
+    const double now = phase_clock_.ElapsedSeconds();
+    for (size_t i = 0; i < splits_.size(); ++i) {
+      TaskControl& ctrl = controls_[i];
+      const double started = ctrl.started_at.load(std::memory_order_relaxed);
+      if (started < 0 || ctrl.done.load(std::memory_order_relaxed) ||
+          now - started <= threshold) {
+        continue;
+      }
+      {
+        std::lock_guard<std::mutex> lock(ctrl.mu);
+        if (ctrl.recorded || ctrl.backup_launched) continue;
+        ctrl.backup_launched = true;
+        ctrl.backup_inflight = true;
+      }
+      report_->speculative_launched += 1;  // only this thread writes it
+      m_spec_launched_->Increment();
+      TraceInstant(trace_, "speculative_launch", "mr",
+                   {{"split", TraceCollector::JsonValue(
+                                  static_cast<uint64_t>(i))}});
+      pool_->Submit([this, i] { RunBackup(i); });
+    }
+  }
+}
+
+// One execution of map task i on `node`. Everything the attempt produces
+// lands in *out, so a failed attempt can be discarded wholesale and
+// retried. `superseded` (may be null) is the early-exit hint: once another
+// attempt of the task has recorded the result, this one stops reading —
+// its output is discarded either way, and a losing straggler must not hold
+// the job's wall clock hostage.
+Status JobRunner::Execution::RunAttempt(size_t i, int attempt, NodeId node,
+                                        MapTaskResult* out,
+                                        const std::atomic<bool>* superseded) {
+  TaskReport* task = &out->task;
+  task->split_index = static_cast<int>(i);
+  task->node = node;
+  task->data_local = SplitIsLocalTo(splits_[i], node);
+  {
+    ScopedSpan wait_span(trace_, "slot_wait", "mr");
+    gate_.Acquire(node);
+    if (wait_span.active()) wait_span.AddArg("node", node);
+  }
+  m_slots_active_->Add(1);
+  m_tasks_launched_->Increment();
+  // The map_task span lives on the executing thread, so the hdfs.read
+  // spans its record reader emits nest inside it on the same track.
+  ScopedSpan task_span(trace_, "map_task", "mr");
+  if (task_span.active()) {
+    task_span.AddArg("split", static_cast<uint64_t>(i));
+    task_span.AddArg("node", node);
+    task_span.AddArg("attempt", attempt);
+    task_span.AddArg("data_local", task->data_local);
+  }
+  // The salt keys this attempt's deterministic fault schedule: a retry of
+  // the same split draws fresh outcomes, whatever thread runs it.
+  ReadContext context{node, &task->io,
+                      static_cast<uint64_t>(i) * 131 +
+                          static_cast<uint64_t>(attempt),
+                      metrics_, trace_};
+  context.readahead_bytes = config_.readahead_bytes;
+  context.prefetch_depth = config_.prefetch_depth;
+  context.prefetch_pool = prefetch_pool_.get();
+  context.cancel = superseded;
+  std::unique_ptr<RecordReader> reader;
+  Status status = job_.input_format->CreateRecordReader(
+      fs_, config_, splits_[i], context, &reader);
+  if (status.ok()) {
+    status = MapRecords(i, attempt, context, std::move(reader), out);
+    if (task_span.active()) {
+      task_span.AddArg("input_records", task->input_records);
+      task_span.AddArg("output_records", task->output_records);
+    }
+    m_task_cpu_micros_->Observe(
+        static_cast<uint64_t>(task->cpu_seconds * 1e6));
+  }
+  task_span.End();
+  m_slots_active_->Add(-1);
+  gate_.Release(node);
+  return status;
+}
+
+// Maps every record of the attempt's reader into its emitter, polling for
+// abort once per batch, and closes the reader.
+Status JobRunner::Execution::MapRecords(size_t i, int attempt,
+                                        const ReadContext& context,
+                                        std::unique_ptr<RecordReader> reader,
+                                        MapTaskResult* out) {
+  TaskReport* task = &out->task;
+  std::unique_ptr<MapOutputBuffer> spill_buffer;
+  if (external_shuffle_) spill_buffer = NewSpillBuffer(i, attempt, context);
+  Stopwatch attempt_watch;
+  Status abort_status;
+  auto interrupted = [&] {
+    abort_status = PollAttempt(i, attempt, context.cancel, spill_buffer.get(),
+                               attempt_watch);
+    return !abort_status.ok();
+  };
+  VectorEmitter emitter;
+  Emitter* map_out = spill_buffer != nullptr
+                         ? static_cast<Emitter*>(spill_buffer.get())
+                         : &emitter;
+  ThreadCpuStopwatch watch;
+  // Predicate filter (DESIGN.md §13): rows reach the mapper only when the
+  // job predicate is TRUE, whether the format evaluated it (selection())
+  // or the loop does row-wise, so output is identical with pushdown on or
+  // off.
+  const Status scan = ScanRecords(
+      reader.get(), config_.batch_rows, config_.predicate.get(), interrupted,
+      [&](Record& record) { job_.mapper(record, map_out); },
+      &task->input_records);
+  if (abort_status.ok()) abort_status = scan;
+  // Map-side combine (in-memory path; the spill buffer combines at spill
+  // time instead): ship the task's output folded through the combiner.
+  if (abort_status.ok() && spill_buffer == nullptr && job_.combiner) {
+    emitter.pairs() = SortAndFold(std::move(emitter.pairs()), job_.combiner);
+  }
+  // External shuffle: spill the buffer's tail inside the CPU window — the
+  // final sort is map work like the in-memory combine above.
+  if (abort_status.ok() && spill_buffer != nullptr) {
+    abort_status = spill_buffer->Finish();
+  }
+  task->cpu_seconds = watch.ElapsedSeconds();
+  const Status status = abort_status.ok() ? reader->status() : abort_status;
+  // Close the reader inside this attempt's span and slot: its teardown is
+  // part of the task, not of whatever the thread runs next.
+  reader.reset();
+  if (spill_buffer != nullptr) {
+    out->runs = spill_buffer->TakeRuns();
+    out->peak_buffer_bytes = spill_buffer->peak_buffer_bytes();
+    for (const SpillRun& run : out->runs) {
+      task->output_records += run.Total(&SpillSegment::records);
+    }
+  } else {
+    task->output_records = emitter.pairs().size();
+    out->pairs = std::move(emitter.pairs());
+  }
+  return status;
+}
+
+// External shuffle: the attempt's emitter is a bounded sort buffer that
+// spills sorted runs into the attempt's private scratch. Spill writes draw
+// from their own fault-salt domain, so injected write faults hit spills
+// and output writes independently.
+std::unique_ptr<MapOutputBuffer> JobRunner::Execution::NewSpillBuffer(
+    size_t i, int attempt, const ReadContext& context) const {
+  MapOutputBuffer::Options opts;
+  opts.fs = fs_;
+  opts.scratch_dir = AttemptDir(IndexedName("m_", i), attempt);
+  opts.write_context =
+      WriteContext{context.node, context.stats,
+                   kSpillWriteSaltDomain | context.fault_salt, metrics_};
+  opts.num_partitions = num_reducers_;
+  opts.sort_buffer_bytes = config_.sort_buffer_bytes;
+  opts.combiner = job_.combiner ? &job_.combiner : nullptr;
+  opts.codec = config_.spill_codec;
+  opts.metrics = metrics_;
+  opts.trace = trace_;
+  return std::make_unique<MapOutputBuffer>(std::move(opts));
+}
+
+// Why a running map attempt must stop, else OK: another attempt recorded
+// the task (`superseded`), a spill write failed (the buffer is sticky-bad
+// and mapping on would only drop output), or task_timeout_ms passed. Cheap
+// but not free (an atomic load, a steady_clock read), so the map loop
+// polls once per batch.
+Status JobRunner::Execution::PollAttempt(
+    size_t i, int attempt, const std::atomic<bool>* superseded,
+    const MapOutputBuffer* spill_buffer, const Stopwatch& attempt_watch) const {
+  if (superseded != nullptr && superseded->load(std::memory_order_relaxed)) {
+    return Status::IoError("attempt superseded: task " + std::to_string(i) +
+                           " already has a recorded result");
+  }
+  if (spill_buffer != nullptr && !spill_buffer->status().ok()) {
+    return spill_buffer->status();
+  }
+  if (config_.task_timeout_ms > 0 &&
+      attempt_watch.ElapsedSeconds() > config_.task_timeout_ms / 1e3) {
+    return Status::IoError("task " + std::to_string(i) + " attempt " +
+                           std::to_string(attempt) +
+                           " exceeded task_timeout_ms=" +
+                           std::to_string(config_.task_timeout_ms));
+  }
+  return Status::OK();
+}
+
+Status JobRunner::Execution::JoinMapResults() {
+  // In split order, so map output (and everything derived from it) is
+  // byte-identical to the serial engine's. Exactly one of pairs and runs
+  // is used, so the other's terms add nothing.
   std::vector<double> task_times;
-  task_times.reserve(splits.size());
-  for (MapTaskResult& result : results) {
+  task_times.reserve(splits_.size());
+  for (MapTaskResult& result : results_) {
     COLMR_RETURN_IF_ERROR(result.status);
     TaskReport& task = result.task;
     task_times.push_back(task.sim_seconds);
-
-    report->map_input_records += task.input_records;
-    report->map_output_records += task.output_records;
-    report->bytes_read_local += task.io.local_bytes;
-    report->bytes_read_remote += task.io.remote_bytes;
-    report->map_cpu_seconds += task.cpu_seconds;
+    report_->map_input_records += task.input_records;
+    report_->map_output_records += task.output_records;
+    report_->bytes_read_local += task.io.local_bytes;
+    report_->bytes_read_remote += task.io.remote_bytes;
+    report_->map_cpu_seconds += task.cpu_seconds;
     if (task.data_local) {
-      report->data_local_tasks += 1;
+      report_->data_local_tasks += 1;
     } else {
-      report->remote_tasks += 1;
+      report_->remote_tasks += 1;
     }
-
-    if (external_shuffle) {
-      // Post-spill-combine tagged bytes: the external analog of the
-      // in-memory sum below (which also measures post-combine pairs).
-      report->map_output_bytes += result.kv_bytes_spilled;
-      report->spill_count += result.spills;
-      report->spill_bytes += result.spilled_bytes;
-      report->peak_spill_buffer_bytes = std::max(
-          report->peak_spill_buffer_bytes, result.peak_buffer_bytes);
-      for (SpillRun& run : result.runs) all_runs.push_back(std::move(run));
-    } else {
-      for (auto& pair : result.pairs) {
-        report->map_output_bytes +=
-            TaggedEncodedSize(pair.first) + TaggedEncodedSize(pair.second);
-        map_output.push_back(std::move(pair));
-      }
+    // External shuffle: post-spill-combine tagged bytes, the analog of the
+    // in-memory sum below (which also measures post-combine pairs).
+    for (SpillRun& run : result.runs) {
+      report_->map_output_bytes += run.Total(&SpillSegment::kv_bytes);
+      report_->spill_bytes += run.Total(&SpillSegment::bytes);
+      report_->spill_count += 1;
+      runs_.push_back(std::move(run));
     }
-    report->map_tasks.push_back(std::move(task));
+    report_->peak_spill_buffer_bytes = std::max(
+        report_->peak_spill_buffer_bytes, result.peak_buffer_bytes);
+    for (auto& pair : result.pairs) {
+      report_->map_output_bytes +=
+          TaggedEncodedSize(pair.first) + TaggedEncodedSize(pair.second);
+      map_output_.push_back(std::move(pair));
+    }
+    report_->map_tasks.push_back(std::move(task));
   }
-  report->map_phase_seconds = cost_model_.MapPhaseSeconds(task_times);
+  report_->map_phase_seconds = cost_model_.MapPhaseSeconds(task_times);
   double task_time_sum = 0;
   for (double t : task_times) task_time_sum += t;
-  report->map_slot_seconds =
+  report_->map_slot_seconds =
       task_time_sum / std::max(1, fs_->config().TotalMapSlots());
-  metrics->counter("mr.map.input_records")
-      ->Increment(report->map_input_records);
-  metrics->counter("mr.map.output_records")
-      ->Increment(report->map_output_records);
+  metrics_->counter("mr.map.input_records")
+      ->Increment(report_->map_input_records);
+  metrics_->counter("mr.map.output_records")
+      ->Increment(report_->map_output_records);
+  return Status::OK();
+}
 
-  // ---- Shuffle + reduce (skipped for map-only jobs).
-  if (job.reducer) {
-    std::vector<std::vector<std::pair<Value, Value>>> partitions;
-    std::vector<SpillRun> final_runs;
-    if (external_shuffle) {
-      // ---- Intermediate merge passes (io.sort.factor): while more runs
-      // exist than merge_factor, merge contiguous groups of merge_factor
-      // runs into one run each. Contiguous grouping preserves the global
-      // sequence order, so the final merge's tie-break semantics are
-      // unchanged. A write fault during a merge retries the group with a
-      // fresh salt and path, like any other write attempt.
-      final_runs = std::move(all_runs);
-      const size_t merge_factor =
-          static_cast<size_t>(std::max(2, job.config.merge_factor));
-      Counter* m_merge_passes = metrics->counter("mr.spill.merge_passes");
-      Counter* m_merge_segments = metrics->counter("mr.spill.merge_segments");
-      const int write_attempts = std::max(1, job.config.max_task_attempts);
-      int pass = 0;
-      while (final_runs.size() > merge_factor) {
-        std::vector<SpillRun> next;
-        for (size_t g = 0; g * merge_factor < final_runs.size(); ++g) {
-          const size_t begin = g * merge_factor;
-          const size_t end =
-              std::min(final_runs.size(), begin + merge_factor);
-          if (end - begin == 1) {
-            next.push_back(std::move(final_runs[begin]));
-            continue;
-          }
-          std::vector<const SpillRun*> group;
-          for (size_t r = begin; r < end; ++r) group.push_back(&final_runs[r]);
-          Status last;
-          bool merged_ok = false;
-          for (int attempt = 0; attempt < write_attempts && !merged_ok;
-               ++attempt) {
-            ScopedSpan merge_span(trace, "merge", "mr");
-            if (merge_span.active()) {
-              merge_span.AddArg("pass", pass);
-              merge_span.AddArg("group", static_cast<uint64_t>(g));
-              merge_span.AddArg("runs", static_cast<uint64_t>(group.size()));
-              merge_span.AddArg("attempt", attempt);
-            }
-            const uint64_t salt =
-                kMergeWriteSaltDomain |
-                ((static_cast<uint64_t>(pass) * 8191 + g) * 131 +
-                 static_cast<uint64_t>(attempt));
-            WriteContext wctx{kAnyNode, nullptr, salt, metrics};
-            ReadContext rctx;
-            rctx.metrics = metrics;
-            rctx.trace = trace;
-            const std::string name = "merge-" + std::to_string(pass) + "-" +
-                                     std::to_string(g);
-            const std::string path =
-                committer != nullptr
-                    ? committer->TaskAttemptDir(name, attempt) + "/run"
-                    : scratch_root + "/" + name + "-" +
-                          std::to_string(attempt);
-            SpillRun merged;
-            uint64_t segments = 0;
-            last = MergeSpillRuns(fs_, group, path, wctx, rctx,
-                                  job.config.spill_codec, num_reducers,
-                                  job.combiner ? &job.combiner : nullptr,
-                                  &merged, &segments);
-            if (last.ok()) {
-              next.push_back(std::move(merged));
-              report->merge_segments += segments;
-              m_merge_segments->Increment(segments);
-              merged_ok = true;
-            } else {
-              TraceInstant(trace, "merge_retry", "mr",
-                           {{"pass", TraceCollector::JsonValue(pass)},
-                            {"group", TraceCollector::JsonValue(
-                                          static_cast<uint64_t>(g))},
-                            {"error", TraceCollector::JsonValue(
-                                          last.message())}});
-            }
-          }
-          if (!merged_ok) return last;
-        }
-        final_runs = std::move(next);
-        report->merge_passes += 1;
-        m_merge_passes->Increment();
-        ++pass;
-      }
-      // Bytes actually shuffled: what survives all map-side combining and
-      // enters the reduce merge.
-      for (const SpillRun& run : final_runs) {
-        report->shuffle_bytes += run.TotalKvBytes();
-      }
-    } else {
-      // Partition by the stable key hash, then sort each partition
-      // (Hadoop's sort-merge shuffle, collapsed to an in-memory sort).
-      // Partition contents keep map-output order, so the per-partition
-      // stable sort is deterministic too.
-      partitions.resize(static_cast<size_t>(num_reducers));
-      ScopedSpan shuffle_span(trace, "shuffle", "mr");
-      for (auto& pair : map_output) {
-        const uint32_t p = ShufflePartition(
-            pair.first, static_cast<uint32_t>(num_reducers));
-        partitions[p].push_back(std::move(pair));
-      }
-      if (shuffle_span.active()) {
-        shuffle_span.AddArg("partitions",
-                            static_cast<uint64_t>(partitions.size()));
-        shuffle_span.AddArg("bytes", report->map_output_bytes);
-      }
-      report->shuffle_bytes = report->map_output_bytes;
+Status JobRunner::Execution::Shuffle() {
+  if (external_shuffle_) {
+    COLMR_RETURN_IF_ERROR(MergePasses());
+    // Bytes actually shuffled: what survives all map-side combining and
+    // enters the reduce merge.
+    for (const SpillRun& run : runs_) {
+      report_->shuffle_bytes += run.Total(&SpillSegment::kv_bytes);
     }
-    metrics->counter("mr.shuffle.bytes")->Increment(report->shuffle_bytes);
+  } else {
+    // Partition by the stable key hash; each reducer sorts its partition
+    // (Hadoop's sort-merge shuffle, collapsed to an in-memory sort).
+    // Partitions keep map-output order, so their stable sorts are
+    // deterministic too.
+    partitions_.resize(static_cast<size_t>(num_reducers_));
+    ScopedSpan shuffle_span(trace_, "shuffle", "mr");
+    for (auto& pair : map_output_) {
+      const uint32_t p =
+          ShufflePartition(pair.first, static_cast<uint32_t>(num_reducers_));
+      partitions_[p].push_back(std::move(pair));
+    }
+    if (shuffle_span.active()) {
+      shuffle_span.AddArg("partitions",
+                          static_cast<uint64_t>(partitions_.size()));
+      shuffle_span.AddArg("bytes", report_->map_output_bytes);
+    }
+    report_->shuffle_bytes = report_->map_output_bytes;
+  }
+  metrics_->counter("mr.shuffle.bytes")->Increment(report_->shuffle_bytes);
+  return Status::OK();
+}
 
-    std::vector<ReduceTaskResult> reduced(static_cast<size_t>(num_reducers));
-    auto execute_reducer = [&](size_t p) {
-      ScopedSpan reduce_span(trace, "reduce_task", "mr");
-      if (reduce_span.active()) {
-        reduce_span.AddArg("partition", static_cast<uint64_t>(p));
+// Intermediate merge passes (io.sort.factor): while more runs exist than
+// merge_factor, merge contiguous groups of merge_factor runs into one run
+// each. Contiguous grouping preserves the global sequence order, so the
+// final merge's tie-break semantics are unchanged.
+Status JobRunner::Execution::MergePasses() {
+  const size_t merge_factor =
+      static_cast<size_t>(std::max(2, config_.merge_factor));
+  Counter* m_merge_passes = metrics_->counter("mr.spill.merge_passes");
+  Counter* m_merge_segments = metrics_->counter("mr.spill.merge_segments");
+  for (int pass = 0; runs_.size() > merge_factor; ++pass) {
+    std::vector<SpillRun> next;
+    for (size_t g = 0; g * merge_factor < runs_.size(); ++g) {
+      const size_t begin = g * merge_factor;
+      const size_t end = std::min(runs_.size(), begin + merge_factor);
+      if (end - begin == 1) {
+        next.push_back(std::move(runs_[begin]));
+        continue;
       }
-      ThreadCpuStopwatch watch;
-      VectorEmitter emitter;
-      uint64_t input_records = 0;
-      if (external_shuffle) {
-        // Stream this partition through a heap merge over every final
-        // run — the partition never materializes as a vector. Groups of
-        // equal keys fold through the reducer as they drain off the heap;
-        // the merge order equals the stable sort the in-memory path does,
-        // so the reducer sees identical (key, [values]) calls.
-        SpillMerger merger;
-        for (size_t r = 0; r < final_runs.size(); ++r) {
-          if (final_runs[r].segments[p].records == 0) continue;
-          ReadContext rctx;
-          rctx.metrics = metrics;
-          rctx.trace = trace;
-          std::unique_ptr<SpillSegmentCursor> cursor;
-          Status open_status = SpillSegmentCursor::Open(
-              fs_, final_runs[r], static_cast<int>(p), rctx, &cursor);
-          if (!open_status.ok()) {
-            reduced[p].status = open_status;
-            return;
-          }
-          merger.Add(std::move(cursor), r);
-          reduced[p].segments_merged += 1;
-        }
-        Value group_key;
-        std::vector<Value> group_values;
-        while (merger.Next()) {
-          ++input_records;
-          if (!group_values.empty() &&
-              merger.key().Compare(group_key) != 0) {
-            job.reducer(group_key, group_values, &emitter);
-            group_values.clear();
-          }
-          if (group_values.empty()) group_key = merger.key();
-          group_values.push_back(merger.value());
-        }
-        if (!merger.status().ok()) {
-          reduced[p].status = merger.status();
-          return;
-        }
-        if (!group_values.empty()) {
-          job.reducer(group_key, group_values, &emitter);
-        }
-      } else {
-        auto& partition = partitions[p];
-        input_records = partition.size();
-        std::stable_sort(partition.begin(), partition.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first.Compare(b.first) < 0;
-                         });
-        FoldSortedRuns(&partition, job.reducer, &emitter);
-      }
-      if (reduce_span.active()) {
-        reduce_span.AddArg("input_records", input_records);
-      }
-      reduced[p].input_records = input_records;
-      reduced[p].cpu_seconds = watch.ElapsedSeconds();
-      reduced[p].pairs = std::move(emitter.pairs());
-    };
-
-    {
-      ScopedSpan reduce_phase_span(trace, "reduce_phase", "mr");
-      if (pool != nullptr) {
-        for (size_t p = 0; p < reduced.size(); ++p) {
-          pool->Submit([&execute_reducer, p] { execute_reducer(p); });
-        }
-        pool->Wait();
-      } else {
-        for (size_t p = 0; p < reduced.size(); ++p) execute_reducer(p);
+      std::vector<const SpillRun*> group;
+      for (size_t r = begin; r < end; ++r) group.push_back(&runs_[r]);
+      next.emplace_back();
+      COLMR_RETURN_IF_ERROR(MergeGroup(pass, g, group, &next.back()));
+      for (const SpillRun* run : group) {
+        report_->merge_segments += run->NonEmptySegments();
+        m_merge_segments->Increment(run->NonEmptySegments());
       }
     }
-    // Spill-read failures surface after the pool joins, lowest partition
-    // first (matching the map phase's lowest-index-failure contract).
-    for (const ReduceTaskResult& result : reduced) {
-      COLMR_RETURN_IF_ERROR(result.status);
-    }
-    if (external_shuffle) {
-      uint64_t final_segments = 0;
-      for (const ReduceTaskResult& result : reduced) {
-        final_segments += result.segments_merged;
-      }
-      report->merge_segments += final_segments;
-      metrics->counter("mr.spill.merge_segments")->Increment(final_segments);
-    }
+    runs_ = std::move(next);
+    report_->merge_passes += 1;
+    m_merge_passes->Increment();
+  }
+  return Status::OK();
+}
 
-    // Materialize the reduce output as text part files through the commit
-    // protocol (DESIGN.md §11) — before the merge below moves the
-    // partition vectors. Each partition is one output task: an attempt
-    // writes part-r-NNNNN into its private _temporary attempt dir, then
-    // commits with one atomic rename. A write or commit fault retries the
-    // whole attempt on another node, feeding the same blacklist as map
-    // retries; exhausting attempts fails the job (and RunImpl's AbortJob
-    // leaves no visible output). Empty partitions still write their part
-    // file, matching Hadoop's one-file-per-reducer layout.
-    if (committer != nullptr) {
-      const int write_attempts = std::max(1, job.config.max_task_attempts);
-      const int num_nodes = fs_->config().num_nodes;
-      for (size_t p = 0; p < reduced.size(); ++p) {
-        char task_id[32];
-        std::snprintf(task_id, sizeof(task_id), "r_%05zu", p);
-        char part_name[32];
-        std::snprintf(part_name, sizeof(part_name), "part-r-%05zu", p);
-        std::set<NodeId> tried;
-        Status last;
-        bool committed = false;
-        for (int attempt = 0; attempt < write_attempts && !committed;
-             ++attempt) {
-          // Deterministic node choice: round-robin from the partition
-          // index over live, unblacklisted, untried nodes, reusing a
-          // tried node only when the cluster is exhausted.
-          NodeId node = static_cast<NodeId>(p % num_nodes);
-          for (int off = 0; off < num_nodes; ++off) {
-            const NodeId cand =
-                static_cast<NodeId>((p + static_cast<size_t>(off)) %
-                                    static_cast<size_t>(num_nodes));
-            if (fs_->IsNodeDead(cand) || retry.IsBlacklisted(cand) ||
-                tried.count(cand) > 0) {
-              continue;
-            }
-            node = cand;
-            break;
-          }
-          tried.insert(node);
-
-          ScopedSpan output_span(trace, "output.write", "mr");
-          if (output_span.active()) {
-            output_span.AddArg("partition", static_cast<uint64_t>(p));
-            output_span.AddArg("attempt", attempt);
-            output_span.AddArg("node", node);
-          }
-          // Write-fault salt: the reduce-output domain bit keeps these
-          // draws disjoint from map-read salts (see fault_injector.h).
-          const uint64_t salt =
-              kReduceWriteSaltDomain |
-              (static_cast<uint64_t>(p) * 131 + static_cast<uint64_t>(attempt));
-          IoStats io;
-          WriteContext wctx{node, &io, salt, metrics};
-          Status attempt_status = [&]() -> Status {
-            std::unique_ptr<FileWriter> writer;
-            COLMR_RETURN_IF_ERROR(
-                fs_->Create(committer->TaskAttemptDir(task_id, attempt) + "/" +
-                                part_name,
-                            wctx, &writer));
-            for (const auto& [key, value] : reduced[p].pairs) {
-              writer->Append(key.ToString() + "\t" + value.ToString() + "\n");
-              if (!writer->status().ok()) break;
-            }
-            return writer->Close();
-          }();
-          if (attempt_status.ok()) {
-            bool won = false;
-            attempt_status =
-                committer->CommitTask(task_id, attempt, salt, &won);
-            if (attempt_status.ok()) {
-              committed = true;
-              if (won) {
-                report->tasks_committed += 1;
-              } else {
-                // Lost the commit rename race to a duplicate attempt; this
-                // attempt's scratch must go.
-                committer->AbortTask(task_id, attempt);
-                report->commit_aborts += 1;
-              }
-            }
-          }
-          report->write_faults += io.write_faults;
-          if (!attempt_status.ok()) {
-            last = attempt_status;
-            committer->AbortTask(task_id, attempt);
-            report->commit_aborts += 1;
-            if (retry.RecordFailure(node)) {
-              m_nodes_blacklisted->Increment();
-              TraceInstant(trace, "node_blacklisted", "mr",
-                           {{"node", TraceCollector::JsonValue(node)}});
-            }
-            if (attempt + 1 < write_attempts) {
-              report->write_retries += 1;
-              m_write_retries->Increment();
-            }
-          }
-        }
-        if (!committed) return last;
-      }
-      COLMR_RETURN_IF_ERROR(committer->CommitJob(kReduceWriteSaltDomain));
+// Merges one group of runs into *merged. A write fault retries the group
+// with a fresh salt and path, like any other write attempt.
+Status JobRunner::Execution::MergeGroup(
+    int pass, size_t g, const std::vector<const SpillRun*>& group,
+    SpillRun* merged) {
+  const std::string task_id =
+      "merge-" + std::to_string(pass) + "-" + std::to_string(g);
+  Status last;
+  for (int attempt = 0; attempt < max_attempts_; ++attempt) {
+    ScopedSpan merge_span(trace_, "merge", "mr");
+    if (merge_span.active()) {
+      merge_span.AddArg("pass", pass);
+      merge_span.AddArg("group", static_cast<uint64_t>(g));
+      merge_span.AddArg("runs", static_cast<uint64_t>(group.size()));
+      merge_span.AddArg("attempt", attempt);
     }
+    const uint64_t salt = kMergeWriteSaltDomain |
+                          ((static_cast<uint64_t>(pass) * 8191 + g) * 131 +
+                           static_cast<uint64_t>(attempt));
+    IoStats io;
+    last = MergeSpillRuns(fs_, group, AttemptDir(task_id, attempt) + "/run",
+                          WriteContext{kAnyNode, &io, salt, metrics_},
+                          read_context_, config_.spill_codec, num_reducers_,
+                          job_.combiner ? &job_.combiner : nullptr, merged);
+    CountWriteAttempt(io, attempt, !last.ok());
+    if (last.ok()) return last;
+    TraceInstant(
+        trace_, "merge_retry", "mr",
+        {{"pass", TraceCollector::JsonValue(pass)},
+         {"group", TraceCollector::JsonValue(static_cast<uint64_t>(g))},
+         {"error", TraceCollector::JsonValue(last.message())}});
+  }
+  return last;
+}
 
-    // Merge emitted output in partition order — identical to running the
+Status JobRunner::Execution::RunReducers() {
+  reduced_.resize(static_cast<size_t>(num_reducers_));
+  {
+    ScopedSpan reduce_phase_span(trace_, "reduce_phase", "mr");
+    Dispatch(
+        reduced_.size(), [this](size_t p) { ReduceTask(p); },
+        [this](size_t p) { return !reduced_[p].status.ok(); }, nullptr);
+  }
+  // Spill-read failures surface after the pool joins, lowest partition
+  // first (matching the map phase's lowest-index-failure contract).
+  for (const ReduceTaskResult& result : reduced_) {
+    COLMR_RETURN_IF_ERROR(result.status);
+  }
+  if (external_shuffle_) {
+    uint64_t final_segments = 0;
+    for (const SpillRun& run : runs_) final_segments += run.NonEmptySegments();
+    report_->merge_segments += final_segments;
+    metrics_->counter("mr.spill.merge_segments")->Increment(final_segments);
+  }
+  return Status::OK();
+}
+
+void JobRunner::Execution::ReduceTask(size_t p) {
+  ReduceTaskResult& result = reduced_[p];
+  ScopedSpan reduce_span(trace_, "reduce_task", "mr");
+  if (reduce_span.active()) {
+    reduce_span.AddArg("partition", static_cast<uint64_t>(p));
+  }
+  ThreadCpuStopwatch watch;
+  VectorEmitter emitter;
+  if (external_shuffle_) {
+    // Stream this partition through a heap merge over every final run —
+    // the partition never materializes as a vector. The merge order equals
+    // the stable sort the in-memory path does, so the reducer sees
+    // identical (key, [values]) calls.
+    SpillMerger merger;
+    for (size_t r = 0; r < runs_.size(); ++r) {
+      if (runs_[r].segments[p].records == 0) continue;
+      std::unique_ptr<SpillSegmentCursor> cursor;
+      result.status = SpillSegmentCursor::Open(
+          fs_, runs_[r], static_cast<int>(p), read_context_, &cursor);
+      if (!result.status.ok()) return;
+      merger.Add(std::move(cursor), r);
+    }
+    EqualKeyFold fold(job_.reducer, &emitter);
+    while (merger.Next()) {
+      ++result.input_records;
+      fold.Add(merger.key(), merger.value());
+    }
+    result.status = merger.status();
+    if (!result.status.ok()) return;
+    fold.Flush();
+  } else {
+    result.input_records = partitions_[p].size();
+    emitter.pairs() = SortAndFold(std::move(partitions_[p]), job_.reducer);
+  }
+  if (reduce_span.active()) {
+    reduce_span.AddArg("input_records", result.input_records);
+  }
+  result.cpu_seconds = watch.ElapsedSeconds();
+  result.pairs = std::move(emitter.pairs());
+}
+
+// Output commit (DESIGN.md §11). Each partition is one output task: an
+// attempt writes part-r-NNNNN into its private _temporary attempt dir,
+// then commits with one atomic rename. Exhausting a partition's attempts
+// fails the job (and RunImpl's AbortJob leaves no visible output). Empty
+// partitions still write their part file, matching Hadoop's
+// one-file-per-reducer layout.
+Status JobRunner::Execution::CommitOutput() {
+  if (committer_ == nullptr) return Status::OK();
+  for (size_t p = 0; p < reduced_.size(); ++p) {
+    COLMR_RETURN_IF_ERROR(WritePartition(p));
+  }
+  return committer_->CommitJob(kReduceWriteSaltDomain);
+}
+
+// Writes and commits partition p's part file. A write or commit fault
+// retries the whole attempt on another node, feeding the same blacklist
+// as map retries.
+Status JobRunner::Execution::WritePartition(size_t p) {
+  const std::string task_id = IndexedName("r_", p);
+  std::set<NodeId> tried;
+  Status status;
+  for (int attempt = 0; attempt < max_attempts_; ++attempt) {
+    const NodeId node = PickOutputNode(p, tried);
+    tried.insert(node);
+    ScopedSpan output_span(trace_, "output.write", "mr");
+    if (output_span.active()) {
+      output_span.AddArg("partition", static_cast<uint64_t>(p));
+      output_span.AddArg("attempt", attempt);
+      output_span.AddArg("node", node);
+    }
+    // Write-fault salt: the reduce-output domain bit keeps these draws
+    // disjoint from map-read salts (see fault_injector.h).
+    const uint64_t salt = kReduceWriteSaltDomain |
+                          (static_cast<uint64_t>(p) * 131 +
+                           static_cast<uint64_t>(attempt));
+    IoStats io;
+    status = WriteTextPart(
+        fs_, committer_->TaskAttemptDir(task_id, attempt) + "/" +
+            IndexedName("part-r-", p),
+        WriteContext{node, &io, salt, metrics_}, reduced_[p].pairs);
+    bool won = false;
+    if (status.ok()) {
+      status = committer_->CommitTask(task_id, attempt, salt, &won);
+    }
+    CountWriteAttempt(io, attempt, !status.ok());
+    if (status.ok() && won) {
+      report_->tasks_committed += 1;
+      return status;
+    }
+    // A failed attempt, or one that lost the commit rename race to a
+    // duplicate attempt (the task is committed then): its scratch must go.
+    committer_->AbortTask(task_id, attempt);
+    report_->commit_aborts += 1;
+    if (status.ok()) return status;
+    RecordNodeFailure(node);
+  }
+  return status;
+}
+
+// Deterministic node choice: round-robin from the partition index over
+// live, unblacklisted, untried nodes, reusing a tried node only when the
+// cluster is exhausted.
+NodeId JobRunner::Execution::PickOutputNode(
+    size_t p, const std::set<NodeId>& tried) const {
+  const size_t num_nodes = static_cast<size_t>(fs_->config().num_nodes);
+  for (size_t off = 0; off < num_nodes; ++off) {
+    const NodeId node = static_cast<NodeId>((p + off) % num_nodes);
+    if (!fs_->IsNodeDead(node) && !retry_.IsBlacklisted(node) &&
+        tried.count(node) == 0) {
+      return node;
+    }
+  }
+  return static_cast<NodeId>(p % num_nodes);
+}
+
+// Moves the job's output into the report and fills the phase times.
+void JobRunner::Execution::CollectOutput() {
+  if (!job_.reducer) {
+    report_->output = std::move(map_output_);
+  } else {
+    // Reduce output in partition order — identical to running the
     // reducers one after another.
-    Counter* m_reduce_input = metrics->counter("mr.reduce.input_records");
+    Counter* m_reduce_input = metrics_->counter("mr.reduce.input_records");
     double max_reducer_seconds = 0;
-    report->reduce_input_records.reserve(reduced.size());
-    for (ReduceTaskResult& result : reduced) {
+    report_->reduce_input_records.reserve(reduced_.size());
+    for (ReduceTaskResult& result : reduced_) {
       max_reducer_seconds = std::max(max_reducer_seconds, result.cpu_seconds);
-      report->reduce_input_records.push_back(result.input_records);
+      report_->reduce_input_records.push_back(result.input_records);
       m_reduce_input->Increment(result.input_records);
       for (auto& pair : result.pairs) {
-        report->output.push_back(std::move(pair));
+        report_->output.push_back(std::move(pair));
       }
     }
-    report->reduce_output_records = report->output.size();
-    report->reduce_phase_seconds = max_reducer_seconds;
-
-    // Shuffle: reducers pull their partitions in parallel over the
-    // network; the phase lasts as long as the largest per-reducer pull.
-    // Sized by the bytes actually shuffled (post all map-side combining),
-    // which equals map_output_bytes on the in-memory path.
+    report_->reduce_output_records = report_->output.size();
+    report_->reduce_phase_seconds = max_reducer_seconds;
+    // Reducers pull their partitions in parallel over the network; the
+    // shuffle lasts as long as the largest per-reducer pull, sized by the
+    // bytes actually shuffled (post all map-side combining).
     const double bytes_per_reducer =
-        static_cast<double>(report->shuffle_bytes) /
-        std::max(1, num_reducers);
-    report->shuffle_seconds =
+        static_cast<double>(report_->shuffle_bytes) /
+        std::max(1, num_reducers_);
+    report_->shuffle_seconds =
         bytes_per_reducer / (fs_->config().network_bandwidth_mbps * 1e6);
-
-  } else {
-    report->output = std::move(map_output);
   }
+  report_->total_seconds = report_->map_phase_seconds +
+                           report_->shuffle_seconds +
+                           report_->reduce_phase_seconds;
+}
 
-  report->total_seconds = report->map_phase_seconds +
-                          report->shuffle_seconds +
-                          report->reduce_phase_seconds;
-  return Status::OK();
+// Scratch directory of one attempt of a task: inside the committer's
+// _temporary when the job has output, else under scratch_root_.
+std::string JobRunner::Execution::AttemptDir(const std::string& task_id,
+                                             int attempt) const {
+  if (committer_ != nullptr) {
+    return committer_->TaskAttemptDir(task_id, attempt);
+  }
+  return scratch_root_ + "/attempt_" + task_id + "_" + std::to_string(attempt);
+}
+
+void JobRunner::Execution::RecordNodeFailure(NodeId node) {
+  if (retry_.RecordFailure(node)) {
+    m_nodes_blacklisted_->Increment();
+    TraceInstant(trace_, "node_blacklisted", "mr",
+                 {{"node", TraceCollector::JsonValue(node)}});
+  }
+}
+
+// Books one output or merge write attempt: its faults, and a retry when it
+// failed with attempts left.
+void JobRunner::Execution::CountWriteAttempt(const IoStats& io, int attempt,
+                                             bool failed) {
+  report_->write_faults += io.write_faults;
+  if (failed && attempt + 1 < max_attempts_) {
+    report_->write_retries += 1;
+    m_write_retries_->Increment();
+  }
 }
 
 }  // namespace colmr

@@ -36,14 +36,16 @@ namespace colmr {
 /// up to JobConfig::max_task_attempts. Nodes accumulating
 /// node_blacklist_failures failed attempts are blacklisted for the rest
 /// of the job. DataLoss is terminal — no node can serve the bytes.
-/// Reducers run on in-memory map output (the shuffle is simulated);
-/// reduce OUTPUT is written per partition through the OutputCommitter
-/// (DESIGN.md §11): each write attempt lands in a private
-/// _temporary/attempt dir, commits via a namenode-atomic rename, and the
-/// job commit promotes every part and writes _SUCCESS — so a fault,
-/// crash, or duplicate attempt at any instant leaves either complete
-/// output or no visible output. Output-write attempts retry across nodes
-/// under injected write faults, feeding the same blacklist.
+/// The shuffle runs in memory, or, with JobConfig::sort_buffer_bytes, as
+/// a bounded-memory external sort-merge over spilled runs (DESIGN.md §12);
+/// only its network time is simulated. Reduce OUTPUT is written per
+/// partition through the OutputCommitter (DESIGN.md §11): each write
+/// attempt lands in a private _temporary/attempt dir, commits via a
+/// namenode-atomic rename, and the job commit promotes every part and
+/// writes _SUCCESS — so a fault, crash, or duplicate attempt at any
+/// instant leaves either complete output or no visible output.
+/// Output-write attempts retry across nodes under injected write faults,
+/// feeding the same blacklist.
 ///
 /// Straggler defense: JobConfig::task_timeout_ms fails attempts that
 /// exceed a wall-clock deadline back into the retry machinery, and
@@ -69,7 +71,7 @@ class JobRunner {
   Status Run(const Job& job, JobReport* report);
 
  private:
-  struct MapTaskResult;
+  class Execution;
 
   /// Run() minus trace lifecycle: Run wraps this in the root "job" span
   /// and flushes the collector to JobConfig::trace_path afterwards.
@@ -79,21 +81,13 @@ class JobRunner {
   Status RunImpl(const Job& job, JobReport* report, MetricsRegistry* metrics,
                  TraceCollector* trace);
 
-  /// The phases themselves (plan, map, shuffle, reduce, output commit);
-  /// factored out so RunImpl can wrap every early return in the
-  /// abort-on-failure protocol. `committer` is null when the job has no
-  /// output path.
+  /// The phases themselves, run in order by a private per-run Execution
+  /// (DESIGN.md §6); factored out so RunImpl can wrap every early return
+  /// in the abort-on-failure protocol. `committer` is null when the job
+  /// has no output path.
   Status ExecutePhases(const Job& job, JobReport* report,
                        MetricsRegistry* metrics, TraceCollector* trace,
                        OutputCommitter* committer);
-
-  /// Picks the execution node for a split: the least-loaded node holding
-  /// all of the split's files, unless it is overloaded relative to a
-  /// balanced assignment, in which case the scheduler falls back to the
-  /// globally least-loaded node and the task reads remotely — Hadoop's
-  /// "Node 1 is busy" situation from the paper's Fig. 3 discussion.
-  NodeId ScheduleSplit(const InputSplit& split, std::vector<int>* node_load,
-                       int total_splits, bool* data_local) const;
 
   MiniHdfs* fs_;
   CostModel cost_model_;

@@ -266,10 +266,10 @@ struct JobReport {
   /// writes, failed jobs).
   uint64_t commit_aborts = 0;
   /// Block seals that failed under injected write faults, summed over
-  /// output-write attempts.
+  /// every spill, intermediate-merge and output-write attempt.
   uint64_t write_faults = 0;
   /// Output-write attempt re-executions (write fault or commit fault,
-  /// then retried on another node).
+  /// then retried on another node) plus intermediate-merge re-executions.
   uint64_t write_retries = 0;
 
   // ---- External sort-merge shuffle (appended; zero when

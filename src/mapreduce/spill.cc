@@ -21,20 +21,6 @@ namespace {
 /// blocks frame records, they never split one.
 constexpr size_t kSpillBlockBytes = 64 * 1024;
 
-/// Collects combiner output. The combiner contract here matches the
-/// in-memory path: outputs are re-emitted as ordinary pairs.
-class VectorEmitter final : public Emitter {
- public:
-  explicit VectorEmitter(std::vector<std::pair<Value, Value>>* out)
-      : out_(out) {}
-  void Emit(Value key, Value value) override {
-    out_->emplace_back(std::move(key), std::move(value));
-  }
-
- private:
-  std::vector<std::pair<Value, Value>>* out_;
-};
-
 }  // namespace
 
 uint32_t ShufflePartition(const Value& key, uint32_t num_partitions) {
@@ -306,13 +292,19 @@ Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
                       const std::string& path, const WriteContext& write_ctx,
                       const ReadContext& read_ctx, CodecType codec,
                       int num_partitions, const ReduceFn* combiner,
-                      SpillRun* out, uint64_t* segments_merged) {
+                      SpillRun* out) {
   std::unique_ptr<SpillRunWriter> writer;
   COLMR_RETURN_IF_ERROR(SpillRunWriter::Open(fs, path, write_ctx, codec,
                                              num_partitions, &writer));
-  uint64_t merged = 0;
-  std::vector<std::pair<Value, Value>> combined;
-  VectorEmitter combined_out(&combined);
+  VectorEmitter combined;
+  // Appends the combiner's pending output to partition p of the new run.
+  auto append_combined = [&](int p) -> Status {
+    for (auto& [k, v] : combined.pairs()) {
+      COLMR_RETURN_IF_ERROR(writer->Append(p, k, v));
+    }
+    combined.pairs().clear();
+    return Status::OK();
+  };
   for (int p = 0; p < num_partitions; ++p) {
     SpillMerger merger;
     for (size_t i = 0; i < runs.size(); ++i) {
@@ -321,7 +313,6 @@ Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
       COLMR_RETURN_IF_ERROR(
           SpillSegmentCursor::Open(fs, *runs[i], p, read_ctx, &cursor));
       merger.Add(std::move(cursor), i);
-      ++merged;
     }
     if (combiner == nullptr) {
       while (merger.Next()) {
@@ -333,31 +324,16 @@ Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
     // Combine equal-key groups as they stream off the heap. The combiner
     // must preserve the key (Hadoop's contract), so outputs stay in this
     // partition and remain key-sorted.
-    Value group_key;
-    std::vector<Value> group_values;
-    auto flush_group = [&]() -> Status {
-      if (group_values.empty()) return Status::OK();
-      combined.clear();
-      (*combiner)(group_key, group_values, &combined_out);
-      for (auto& [k, v] : combined) {
-        COLMR_RETURN_IF_ERROR(writer->Append(p, k, v));
-      }
-      group_values.clear();
-      return Status::OK();
-    };
+    EqualKeyFold fold(*combiner, &combined);
     while (merger.Next()) {
-      if (group_values.empty() || merger.key().Compare(group_key) != 0) {
-        COLMR_RETURN_IF_ERROR(flush_group());
-        group_key = merger.key();
-      }
-      group_values.push_back(merger.value());
+      fold.Add(merger.key(), merger.value());
+      COLMR_RETURN_IF_ERROR(append_combined(p));
     }
     COLMR_RETURN_IF_ERROR(merger.status());
-    COLMR_RETURN_IF_ERROR(flush_group());
+    fold.Flush();
+    COLMR_RETURN_IF_ERROR(append_combined(p));
   }
-  COLMR_RETURN_IF_ERROR(writer->Close(out));
-  if (segments_merged != nullptr) *segments_merged = merged;
-  return Status::OK();
+  return writer->Close(out);
 }
 
 // ---- MapOutputBuffer ----
@@ -404,31 +380,23 @@ Status MapOutputBuffer::SortAndSpill() {
     // Fold each (partition, key) group through the combiner — Hadoop's
     // spill-time combine. Outputs are re-partitioned by their own key and
     // re-sorted, exactly as the in-memory path treats combiner output.
+    VectorEmitter outputs;
     std::vector<BufferedPair> folded;
-    std::vector<std::pair<Value, Value>> outputs;
-    VectorEmitter out(&outputs);
-    size_t i = 0;
-    std::vector<Value> group_values;
-    while (i < entries_.size()) {
-      size_t j = i + 1;
-      while (j < entries_.size() &&
-             entries_[j].partition == entries_[i].partition &&
-             entries_[j].key.Compare(entries_[i].key) == 0) {
-        ++j;
-      }
-      group_values.clear();
-      for (size_t g = i; g < j; ++g) {
-        group_values.push_back(std::move(entries_[g].value));
-      }
-      outputs.clear();
-      (*options_.combiner)(entries_[i].key, group_values, &out);
-      for (auto& [k, v] : outputs) {
+    auto take_outputs = [&] {
+      for (auto& [k, v] : outputs.pairs()) {
         const uint32_t partition = ShufflePartition(
             k, static_cast<uint32_t>(options_.num_partitions));
         folded.push_back(BufferedPair{partition, std::move(k), std::move(v)});
       }
-      i = j;
+      outputs.pairs().clear();
+    };
+    EqualKeyFold fold(*options_.combiner, &outputs);
+    for (BufferedPair& e : entries_) {
+      fold.Add(std::move(e.key), std::move(e.value));
+      take_outputs();
     }
+    fold.Flush();
+    take_outputs();
     // A key-preserving combiner leaves `folded` sorted already, and a
     // stable sort of sorted input is the identity.
     if (!std::is_sorted(folded.begin(), folded.end(), by_partition_key)) {
@@ -438,7 +406,7 @@ Status MapOutputBuffer::SortAndSpill() {
   }
 
   const std::string path =
-      options_.scratch_dir + "/spill-" + std::to_string(spills_);
+      options_.scratch_dir + "/spill-" + std::to_string(runs_.size());
   std::unique_ptr<SpillRunWriter> writer;
   COLMR_RETURN_IF_ERROR(SpillRunWriter::Open(
       options_.fs, path, options_.write_context, options_.codec,
@@ -450,11 +418,7 @@ Status MapOutputBuffer::SortAndSpill() {
   SpillRun run;
   COLMR_RETURN_IF_ERROR(writer->Close(&run));
 
-  spills_ += 1;
-  const uint64_t file_bytes = run.TotalBytes();
-  spilled_bytes_ += file_bytes;
-  kv_bytes_spilled_ += run.TotalKvBytes();
-  records_spilled_ += static_cast<uint64_t>(entries_.size());
+  const uint64_t file_bytes = run.Total(&SpillSegment::bytes);
   m_spill_count_->Increment();
   m_spill_bytes_->Increment(file_bytes);
   span.AddArg("records_out", static_cast<uint64_t>(entries_.size()));

@@ -62,6 +62,48 @@ inline constexpr uint64_t kShufflePartitionSeed = 0x636f6c6d72736866ull;
 /// implemented in spill.cc next to the run format it feeds.
 uint32_t ShufflePartition(const Value& key, uint32_t num_partitions);
 
+/// Emitter that appends into a vector: in-memory map output, and the
+/// output of combiners and reducers.
+class VectorEmitter final : public Emitter {
+ public:
+  void Emit(Value key, Value value) override {
+    pairs_.emplace_back(std::move(key), std::move(value));
+  }
+  std::vector<std::pair<Value, Value>>& pairs() { return pairs_; }
+
+ private:
+  std::vector<std::pair<Value, Value>> pairs_;
+};
+
+/// Folds a key-sorted stream of pairs through a combiner or reducer: each
+/// run of keys that Value::Compare calls equal becomes one fn(first key,
+/// values, out) call. Add() folds the open run first when the key differs;
+/// Flush() folds the last run. Equal keys share a shuffle partition, so a
+/// (partition, key)-sorted stream folds the same way.
+class EqualKeyFold {
+ public:
+  EqualKeyFold(const ReduceFn& fn, Emitter* out) : fn_(fn), out_(out) {}
+
+  template <typename K, typename V>
+  void Add(K&& key, V&& value) {
+    if (!values_.empty() && key.Compare(key_) != 0) Flush();
+    if (values_.empty()) key_ = std::forward<K>(key);
+    values_.push_back(std::forward<V>(value));
+  }
+
+  void Flush() {
+    if (values_.empty()) return;
+    fn_(key_, values_, out_);
+    values_.clear();
+  }
+
+ private:
+  const ReduceFn& fn_;
+  Emitter* out_;
+  Value key_;
+  std::vector<Value> values_;
+};
+
 /// One partition's byte range inside a run file.
 struct SpillSegment {
   uint64_t offset = 0;    // first byte of the segment in the file
@@ -80,15 +122,18 @@ struct SpillRun {
   CodecType codec = CodecType::kNone;
   std::vector<SpillSegment> segments;  // indexed by partition
 
-  uint64_t TotalBytes() const {
+  /// One SpillSegment field summed over the run, e.g.
+  /// Total(&SpillSegment::bytes) for the run's file bytes.
+  uint64_t Total(uint64_t SpillSegment::*field) const {
     uint64_t total = 0;
-    for (const SpillSegment& s : segments) total += s.bytes;
+    for (const SpillSegment& s : segments) total += s.*field;
     return total;
   }
-  uint64_t TotalKvBytes() const {
-    uint64_t total = 0;
-    for (const SpillSegment& s : segments) total += s.kv_bytes;
-    return total;
+  /// Segments a merge over this run consumes: those holding records.
+  uint64_t NonEmptySegments() const {
+    uint64_t count = 0;
+    for (const SpillSegment& s : segments) count += s.records > 0 ? 1 : 0;
+    return count;
   }
 };
 
@@ -207,13 +252,12 @@ class SpillMerger {
 /// Merges a group of runs (ascending sequence order) into one run at
 /// `path`, partition by partition, optionally folding equal-key groups
 /// through the combiner (which must preserve the key — the Hadoop
-/// combiner contract; its output stays in the group's partition). Sets
-/// *segments_merged to the number of non-empty input segments consumed.
+/// combiner contract; its output stays in the group's partition).
 Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
                       const std::string& path, const WriteContext& write_ctx,
                       const ReadContext& read_ctx, CodecType codec,
                       int num_partitions, const ReduceFn* combiner,
-                      SpillRun* out, uint64_t* segments_merged);
+                      SpillRun* out);
 
 /// The map-side accumulator: an Emitter that buffers (partition, key,
 /// value) triples up to `sort_buffer_bytes` of tagged-encoding payload,
@@ -245,15 +289,9 @@ class MapOutputBuffer final : public Emitter {
   Status Finish();
 
   const Status& status() const { return status_; }
+  /// The task's runs: its spill count, spilled bytes and post-combine
+  /// records and tagged bytes are their sizes and Total()s.
   std::vector<SpillRun> TakeRuns() { return std::move(runs_); }
-
-  uint64_t spills() const { return spills_; }
-  /// File bytes written across runs (framing + compression included).
-  uint64_t spilled_bytes() const { return spilled_bytes_; }
-  /// Post-combine records / tagged KV bytes across runs — the external
-  /// path's map-output accounting.
-  uint64_t records_spilled() const { return records_spilled_; }
-  uint64_t kv_bytes_spilled() const { return kv_bytes_spilled_; }
   /// High-water mark of buffered tagged bytes: the bounded-memory claim.
   /// At most sort_buffer_bytes plus one record.
   uint64_t peak_buffer_bytes() const { return peak_buffer_bytes_; }
@@ -272,10 +310,6 @@ class MapOutputBuffer final : public Emitter {
   uint64_t buffer_bytes_ = 0;
   uint64_t peak_buffer_bytes_ = 0;
   std::vector<SpillRun> runs_;
-  uint64_t spills_ = 0;
-  uint64_t spilled_bytes_ = 0;
-  uint64_t records_spilled_ = 0;
-  uint64_t kv_bytes_spilled_ = 0;
   Status status_;
   Counter* m_spill_count_;
   Counter* m_spill_bytes_;

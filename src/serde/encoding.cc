@@ -549,8 +549,10 @@ void HashTaggedValueRec(const Value& value, Fnv1a64* h) {
       break;
     case TypeKind::kDouble: {
       // The 8 little-endian bytes PutDouble writes, independent of host
-      // endianness.
-      const double d = value.double_value();
+      // endianness — with -0.0 hashed as +0.0, since Compare calls them
+      // equal and equal keys must share a shuffle partition.
+      const double d =
+          value.double_value() == 0.0 ? 0.0 : value.double_value();
       uint64_t bits = 0;
       std::memcpy(&bits, &d, 8);
       for (int i = 0; i < 8; ++i) {

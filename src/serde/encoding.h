@@ -86,8 +86,9 @@ size_t TaggedEncodedSize(const Value& value);
 /// Platform-stable hash of a value: FNV-1a (seeded; see common/hash.h)
 /// streamed over exactly the bytes EncodeTaggedValue would produce, with
 /// the splitmix64 finalizer — but computed without materializing the
-/// encoding, so hashing a shuffle key allocates nothing. Equal values
-/// (Value::Compare == 0) of the same kind hash equal on every platform;
+/// encoding, so hashing a shuffle key allocates nothing. The one
+/// departure from the encoding: a -0.0 double, nested or not, hashes as
+/// +0.0. Equal values (Value::Compare == 0) hash equal on every platform;
 /// this is the stable HashPartitioner contract (DESIGN.md §12), and the
 /// pinned-vector test in shuffle_spill_test.cc makes any change to it a
 /// deliberate format break.

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -475,6 +476,107 @@ TEST(ShuffleSpillTest, ReportOnlyJobCleansScratch) {
   EXPECT_EQ(OutputToString(report), reference.output);
   EXPECT_GT(report.spill_count, 0u);
   EXPECT_FALSE(fs->Exists("/_shuffle"));
+}
+
+
+// Keys that Value::Compare calls equal must share a shuffle partition, or
+// the in-memory and external paths group them differently. +0.0 and -0.0
+// compare equal, so a combiner job emitting 50 of each must reduce to one
+// +0.0 group of 100 at every reducer count, buffer size and parallelism.
+TEST(ShuffleSpillTest, SignedZeroKeysShareOnePartition) {
+  std::string reference;
+  for (int reducers = 1; reducers <= 8; ++reducers) {
+    for (uint64_t sort_buffer : {uint64_t{0}, uint64_t{64}}) {
+      for (int parallelism : {1, 4}) {
+        SCOPED_TRACE("reducers=" + std::to_string(reducers) +
+                     " sort_buffer=" + std::to_string(sort_buffer) +
+                     " parallelism=" + std::to_string(parallelism));
+        auto fs = MakeFs();
+        WriteWords(fs.get(), "/in", 4, 25);  // word0 .. word99
+        Job job = WordCountJob(/*out=*/"", /*with_combiner=*/true);
+        job.mapper = [](Record& record, Emitter* emit) {
+          // Even words (word0 first) key +0.0, odd ones -0.0.
+          const std::string& text = record.GetOrDie("text").string_value();
+          const bool even = (text[text.find(' ') - 1] - '0') % 2 == 0;
+          emit->Emit(Value::Double(even ? 0.0 : -0.0), Value::Int32(1));
+        };
+        job.config.num_reduce_tasks = reducers;
+        job.config.sort_buffer_bytes = sort_buffer;
+        job.config.parallelism = parallelism;
+        JobRunner runner(fs.get());
+        JobReport report;
+        ASSERT_TRUE(runner.Run(job, &report).ok());
+        ASSERT_EQ(report.output.size(), 1u) << OutputToString(report);
+        EXPECT_EQ(report.output[0].first.kind(), TypeKind::kDouble);
+        EXPECT_FALSE(std::signbit(report.output[0].first.double_value()));
+        EXPECT_EQ(report.output[0].second.int64_value(), 100);
+        if (reference.empty()) reference = OutputToString(report);
+        EXPECT_EQ(OutputToString(report), reference);
+      }
+    }
+  }
+}
+
+// Intermediate merge passes write runs like any other write attempt: their
+// faults reach report.write_faults and their re-executions count as write
+// retries, so the report agrees with the hdfs.write.* counters.
+TEST(ShuffleSpillTest, MergePassWriteFaultsAndRetriesAreCounted) {
+  auto fs = MakeFs();
+  WriteWords(fs.get(), "/in", 3, 400);
+  FaultConfig faults;
+  faults.seed = FaultSeed();
+  faults.write_error_p = 0.05;
+  fs->SetFaultConfig(faults);
+  MetricsRegistry registry;
+  Job job = WordCountJob("/out", /*with_combiner=*/false);
+  job.config.sort_buffer_bytes = 256;
+  job.config.merge_factor = 2;
+  job.config.parallelism = 1;
+  job.config.metrics = &registry;
+  JobRunner runner(fs.get());
+  JobReport report;
+  ASSERT_TRUE(runner.Run(job, &report).ok());
+  ASSERT_GT(report.merge_passes, 0u);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(report.write_faults, snapshot.counters.at("hdfs.write.faults"));
+  EXPECT_EQ(report.write_retries, snapshot.counters.at("hdfs.write.retries"));
+  EXPECT_GT(report.write_retries, 0u);
+}
+
+// A terminal DataLoss (no replica of a block can serve it) ends the job
+// without retries. Run serially, the job stops at the failed task: one
+// launch, no retry, no blacklist. Run in parallel, every queued split
+// still runs once before the lowest-index failure is reported.
+TEST(ShuffleSpillTest, DataLossStopsSerialJobAtFirstTask) {
+  for (int parallelism : {1, 4}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+    auto fs = MakeFs();
+    WriteWords(fs.get(), "/in", 4, 250);
+    std::vector<BlockInfo> blocks;
+    ASSERT_TRUE(fs->GetBlockLocations("/in/f0/part-00000", &blocks).ok());
+    ASSERT_FALSE(blocks.empty());
+    for (NodeId node : blocks[0].replicas) {
+      ASSERT_TRUE(fs->MarkReplicaBad(blocks[0].id, node).ok());
+    }
+    MetricsRegistry registry;
+    Job job = WordCountJob("/out", /*with_combiner=*/false);
+    job.config.parallelism = parallelism;
+    job.config.metrics = &registry;
+    std::vector<InputSplit> splits;
+    ASSERT_TRUE(
+        job.input_format->GetSplits(fs.get(), job.config, &splits).ok());
+    ASSERT_GT(splits.size(), 4u);
+    JobRunner runner(fs.get());
+    JobReport report;
+    const Status s = runner.Run(job, &report);
+    EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+    const uint64_t launched =
+        registry.Snapshot().counters.at("mr.task.launched");
+    EXPECT_EQ(launched, parallelism == 1 ? 1u : splits.size());
+    EXPECT_EQ(report.task_retries, 0u);
+    EXPECT_TRUE(report.blacklisted_nodes.empty());
+    EXPECT_FALSE(fs->Exists("/out"));
+  }
 }
 
 }  // namespace
