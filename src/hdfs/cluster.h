@@ -49,7 +49,6 @@ struct IoStats {
   uint64_t local_bytes = 0;
   uint64_t remote_bytes = 0;
   uint64_t seeks = 0;
-  uint64_t reads = 0;
 
   // ---- Failure-path accounting (fault injection and recovery) ----
   /// Replica-read attempts that failed (injected transient error or
@@ -72,7 +71,6 @@ struct IoStats {
     local_bytes += other.local_bytes;
     remote_bytes += other.remote_bytes;
     seeks += other.seeks;
-    reads += other.reads;
     failover_reads += other.failover_reads;
     checksum_failures += other.checksum_failures;
     stall_seconds += other.stall_seconds;

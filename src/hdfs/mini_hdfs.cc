@@ -657,47 +657,49 @@ void FileWriter::Append(Slice data) {
   }
 }
 
+Status FileWriter::SealFault() {
+  if (faults_.WriterNodeDies(context_.node)) {
+    // The datanode dies the moment this writer's pipeline touches it.
+    // AlreadyExists (already dead) is fine — a dead node still cannot
+    // complete the seal.
+    fs_->KillNode(context_.node);
+    return Status::IoError("node " + std::to_string(context_.node) +
+                           " died mid-write of " + path_ + " (injected)");
+  }
+  if (context_.node != kAnyNode && fs_->IsNodeDead(context_.node)) {
+    return Status::IoError("node " + std::to_string(context_.node) +
+                           " is dead; cannot write " + path_);
+  }
+  if (faults_.WriteAttemptFails(
+          path_key_ + static_cast<uint64_t>(next_block_index_), context_.node,
+          context_.fault_salt, fault_draws_++)) {
+    return Status::IoError("injected transient write fault sealing block " +
+                           std::to_string(next_block_index_) + " of " + path_);
+  }
+  return Status::OK();
+}
+
+void FileWriter::Charge(const IoStats& delta) {
+  if (context_.stats != nullptr) context_.stats->Add(delta);
+  m_write_faults_->Increment(delta.write_faults);
+}
+
 void FileWriter::SealBlock() {
   // Fault consultation happens before the namespace lock is taken:
   // KillNode acquires it itself, and the sleep must not serialize the
   // namenode. Draw coordinates follow the header contract — write domain,
   // keyed by (hash(path) + block index, node, salt, draw).
   if (faults_.config().write_active() || context_.node != kAnyNode) {
-    if (faults_.WriterNodeDies(context_.node)) {
-      // The datanode dies the moment this writer's pipeline touches it.
-      // AlreadyExists (already dead) is fine — a dead node still cannot
-      // complete the seal.
-      fs_->KillNode(context_.node);
-      status_ = Status::IoError("node " + std::to_string(context_.node) +
-                                " died mid-write of " + path_ + " (injected)");
-      m_write_faults_->Increment();
-      if (context_.stats != nullptr) context_.stats->write_faults += 1;
-      pending_.clear();
-      return;
-    }
-    if (context_.node != kAnyNode && fs_->IsNodeDead(context_.node)) {
-      status_ = Status::IoError("node " + std::to_string(context_.node) +
-                                " is dead; cannot write " + path_);
-      m_write_faults_->Increment();
-      if (context_.stats != nullptr) context_.stats->write_faults += 1;
-      pending_.clear();
-      return;
-    }
-    if (faults_.WriteAttemptFails(
-            path_key_ + static_cast<uint64_t>(next_block_index_),
-            context_.node, context_.fault_salt, fault_draws_++)) {
-      status_ = Status::IoError("injected transient write fault sealing block " +
-                                std::to_string(next_block_index_) + " of " +
-                                path_);
-      m_write_faults_->Increment();
-      if (context_.stats != nullptr) context_.stats->write_faults += 1;
+    status_ = SealFault();
+    if (!status_.ok()) {
+      Charge({.write_faults = 1});
       pending_.clear();
       return;
     }
     const double stall = faults_.WriteStallSeconds(context_.node);
     if (stall > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(stall));
-      if (context_.stats != nullptr) context_.stats->stall_seconds += stall;
+      Charge({.stall_seconds = stall});
     }
   }
   const uint64_t block_size = fs_->config_.block_size;
@@ -755,7 +757,14 @@ FileReader::FileReader(const MiniHdfs* fs, std::string path,
   metrics.counter("hdfs.open.count")->Increment();
 }
 
-void FileReader::CountSeek() const { m_seeks_->Increment(); }
+void FileReader::Charge(const IoStats& delta) const {
+  if (context_.stats != nullptr) context_.stats->Add(delta);
+  m_local_bytes_->Increment(delta.local_bytes);
+  m_remote_bytes_->Increment(delta.remote_bytes);
+  m_seeks_->Increment(delta.seeks);
+  m_failover_reads_->Increment(delta.failover_reads);
+  m_checksum_failures_->Increment(delta.checksum_failures);
+}
 
 namespace {
 
@@ -807,26 +816,14 @@ Status FileReader::ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
         faults_.ReadAttemptFails(block.info.id, candidate.node,
                                  context_.fault_salt, fault_draws_++)) {
       ++transient_failures;
-      if (context_.stats != nullptr) {
-        context_.stats->failover_reads += 1;
-        context_.stats->seeks += 1;
-      }
-      m_failover_reads_->Increment();
-      m_seeks_->Increment();
+      Charge({.seeks = 1, .failover_reads = 1});
       continue;
     }
     // Verify the block checksum the first time this replica serves this
     // reader. A mismatch permanently reports the replica to the namenode.
     if (verified_.count({block.info.id, candidate.node}) == 0) {
       if (ServedCrc(*block.data, candidate.corrupted) != block.info.crc) {
-        if (context_.stats != nullptr) {
-          context_.stats->checksum_failures += 1;
-          context_.stats->failover_reads += 1;
-          context_.stats->seeks += 1;
-        }
-        m_checksum_failures_->Increment();
-        m_failover_reads_->Increment();
-        m_seeks_->Increment();
+        Charge({.seeks = 1, .failover_reads = 1, .checksum_failures = 1});
         fs_->MarkReplicaBad(block.info.id, candidate.node);
         continue;
       }
@@ -845,7 +842,6 @@ Status FileReader::ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
     // replica") byte for byte.
     const bool is_local =
         context_.node == kAnyNode || candidate.node == context_.node;
-    (is_local ? m_local_bytes_ : m_remote_bytes_)->Increment(to - from);
     // Slow-node stall: sleep for real so the injected latency shows up in
     // measured wall time (and straggler defenses have something to race),
     // and charge it to stats so the cost model sees it too. The sleep is
@@ -870,14 +866,9 @@ Status FileReader::ReadBlock(const BlockRef& block, uint64_t from, uint64_t to,
       }
       stall -= remaining;
     }
-    if (context_.stats != nullptr) {
-      if (is_local) {
-        context_.stats->local_bytes += to - from;
-      } else {
-        context_.stats->remote_bytes += to - from;
-      }
-      context_.stats->stall_seconds += stall;
-    }
+    IoStats served{.stall_seconds = stall};
+    (is_local ? served.local_bytes : served.remote_bytes) = to - from;
+    Charge(served);
     if (canceled) {
       return Status::IoError("read canceled by the issuing task mid-stall");
     }
@@ -900,9 +891,6 @@ Status FileReader::Read(uint64_t offset, size_t n, std::string* out) const {
   n = std::min<uint64_t>(n, size_ - offset);
   out->reserve(n);
 
-  if (context_.stats != nullptr) {
-    context_.stats->reads += 1;
-  }
   m_read_ops_->Increment();
   m_read_bytes_->Observe(n);
   ScopedSpan span(context_.trace, "hdfs.read", "hdfs");

@@ -362,6 +362,11 @@ class FileWriter {
              FaultInjector faults);
 
   void SealBlock();
+  /// The injected fault, if any, that fails the next block seal.
+  Status SealFault();
+  /// The one writer of this writer's accounting: adds `delta` to the
+  /// context's IoStats sink (when set) and to hdfs.write.faults.
+  void Charge(const IoStats& delta);
 
   MiniHdfs* fs_;
   std::string path_;
@@ -399,13 +404,10 @@ class FileReader {
  public:
   uint64_t size() const { return size_; }
 
-  /// The context's stats sink (may be null). BufferedReader uses this to
-  /// charge seeks.
-  IoStats* stats() const { return context_.stats; }
-
-  /// Charges one positioned seek to the hdfs.seek.count metric.
-  /// BufferedReader calls this alongside stats()->seeks.
-  void CountSeek() const;
+  /// The one writer of this reader's traffic accounting: adds `delta` to
+  /// the context's IoStats sink (when set) and to the matching hdfs.*
+  /// counters. BufferedReader charges its seeks through it.
+  void Charge(const IoStats& delta) const;
 
   /// The trace collector this reader emits hdfs.read spans to (null when
   /// tracing is off). Downstream layers (CIF) reuse it for their spans.

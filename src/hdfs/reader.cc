@@ -70,28 +70,25 @@ Status BufferedReader::Fill(size_t min_bytes) {
         view.size() >= needed) {
       pin_ = std::move(pin);
       view_ = view;
-      if (!ever_read_) {
-        ever_read_ = true;
-        if (file_->stats() != nullptr) file_->stats()->seeks += 1;
-        file_->CountSeek();
-      }
-      ++sequential_fills_;
-      MaybePrefetch();
+      FinishFill();
       return Status::OK();
     }
   }
   std::string chunk;
   COLMR_RETURN_IF_ERROR(file_->Read(fetch_from, want, &chunk));
-  if (!ever_read_) {
-    // Initial positioning of the stream counts as one seek.
-    ever_read_ = true;
-    if (file_->stats() != nullptr) file_->stats()->seeks += 1;
-    file_->CountSeek();
-  }
   buffer_.append(chunk);
+  FinishFill();
+  return Status::OK();
+}
+
+void BufferedReader::FinishFill() {
+  // Initial positioning of the stream counts as one seek.
+  if (!ever_read_) {
+    ever_read_ = true;
+    file_->Charge({.seeks = 1});
+  }
   ++sequential_fills_;
   MaybePrefetch();
-  return Status::OK();
 }
 
 Status BufferedReader::Peek(size_t n, Slice* out) {
@@ -121,10 +118,7 @@ Status BufferedReader::Seek(uint64_t offset) {
   buffer_start_ = offset;
   position_ = offset;
   sequential_fills_ = 0;
-  if (ever_read_) {
-    if (file_->stats() != nullptr) file_->stats()->seeks += 1;
-    file_->CountSeek();
-  }
+  if (ever_read_) file_->Charge({.seeks = 1});
   return Status::OK();
 }
 

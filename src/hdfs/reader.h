@@ -76,6 +76,9 @@ class BufferedReader {
 
  private:
   Status Fill(size_t min_bytes);
+  /// Books a fill that landed: the stream's first one charges its
+  /// positioning seek, and every one advances the sequential pattern.
+  void FinishFill();
   /// Collapses the current window (owned or pinned) so it starts at the
   /// cursor, switching back to owned mode and keeping un-consumed bytes.
   void CompactToCursor();

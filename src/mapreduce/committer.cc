@@ -3,24 +3,16 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace colmr {
 
 OutputCommitter::OutputCommitter(MiniHdfs* fs, std::string output_path,
-                                 MetricsRegistry* metrics,
                                  TraceCollector* trace)
     : fs_(fs),
       output_path_(std::move(output_path)),
       faults_(fs->fault_config()),
-      trace_(trace) {
-  MetricsRegistry& registry =
-      metrics != nullptr ? *metrics : MetricsRegistry::Default();
-  m_task_commits_ = registry.counter("mr.commit.task");
-  m_job_commits_ = registry.counter("mr.commit.job");
-  m_aborts_ = registry.counter("mr.commit.aborts");
-}
+      trace_(trace) {}
 
 std::string OutputCommitter::TemporaryDir() const {
   return output_path_ + "/" + kTemporaryDir;
@@ -79,12 +71,10 @@ Status OutputCommitter::CommitTask(const std::string& task_id, int attempt,
   COLMR_RETURN_IF_ERROR(rename);
   *won = true;
   if (span.active()) span.AddArg("won", true);
-  m_task_commits_->Increment();
   return Status::OK();
 }
 
 Status OutputCommitter::AbortTask(const std::string& task_id, int attempt) {
-  m_aborts_->Increment();
   TraceInstant(trace_, "task_abort", "mr",
                {{"task", TraceCollector::JsonValue(task_id)},
                 {"attempt", TraceCollector::JsonValue(attempt)}});
@@ -114,13 +104,10 @@ Status OutputCommitter::CommitJob(uint64_t salt) {
   std::unique_ptr<FileWriter> marker;
   COLMR_RETURN_IF_ERROR(
       fs_->Create(output_path_ + "/" + kSuccessMarker, &marker));
-  COLMR_RETURN_IF_ERROR(marker->Close());
-  m_job_commits_->Increment();
-  return Status::OK();
+  return marker->Close();
 }
 
 Status OutputCommitter::AbortJob() {
-  m_aborts_->Increment();
   TraceInstant(trace_, "job_abort", "mr",
                {{"output", TraceCollector::JsonValue(output_path_)}});
   return fs_->DeleteRecursive(output_path_);

@@ -10,8 +10,6 @@
 
 namespace colmr {
 
-class Counter;
-class MetricsRegistry;
 class TraceCollector;
 
 /// Atomic output commit for job output, Hadoop's FileOutputCommitter
@@ -53,7 +51,7 @@ class TraceCollector;
 class OutputCommitter {
  public:
   OutputCommitter(MiniHdfs* fs, std::string output_path,
-                  MetricsRegistry* metrics, TraceCollector* trace);
+                  TraceCollector* trace);
 
   static constexpr const char* kTemporaryDir = "_temporary";
   static constexpr const char* kSuccessMarker = "_SUCCESS";
@@ -99,9 +97,6 @@ class OutputCommitter {
   FaultInjector faults_;
   TraceCollector* trace_;
   uint64_t fault_draws_ = 0;
-  Counter* m_task_commits_;
-  Counter* m_job_commits_;
-  Counter* m_aborts_;
 };
 
 }  // namespace colmr

@@ -248,6 +248,36 @@ std::vector<std::pair<Value, Value>> SortAndFold(
   return std::move(out.pairs());
 }
 
+/// Adds every JobReport counter that has a registry twin to that twin —
+/// the twins' only writer, so each equals its field once Run returns (on
+/// a private registry). `job_committed` feeds mr.commit.job.
+void PublishReportCounters(const JobReport& report, bool job_committed,
+                           MetricsRegistry* metrics) {
+  uint64_t reduce_input_records = 0;
+  for (uint64_t n : report.reduce_input_records) reduce_input_records += n;
+  const std::pair<const char*, uint64_t> twins[] = {
+      {"mr.map.input_records", report.map_input_records},
+      {"mr.map.output_records", report.map_output_records},
+      {"mr.reduce.input_records", reduce_input_records},
+      {"mr.shuffle.bytes", report.shuffle_bytes},
+      {"mr.task.retries", report.task_retries},
+      {"mr.speculative.launched", report.speculative_launched},
+      {"mr.speculative.won", report.speculative_won},
+      {"mr.speculative.lost", report.speculative_lost},
+      {"mr.spill.count", report.spill_count},
+      {"mr.spill.bytes", report.spill_bytes},
+      {"mr.spill.merge_passes", report.merge_passes},
+      {"mr.spill.merge_segments", report.merge_segments},
+      {"mr.commit.task", report.tasks_committed},
+      {"mr.commit.job", job_committed ? 1u : 0u},
+      {"mr.commit.aborts", report.commit_aborts},
+      {"hdfs.write.retries", report.write_retries},
+  };
+  for (const auto& [name, value] : twins) {
+    metrics->counter(name)->Increment(value);
+  }
+}
+
 /// Writes `pairs` as "key<TAB>value" lines to a new file at `path`.
 Status WriteTextPart(MiniHdfs* fs, const std::string& path,
                      const WriteContext& context,
@@ -351,17 +381,11 @@ class JobRunner::Execution {
   std::string scratch_root_;
 
   Counter* const m_tasks_launched_ = metrics_->counter("mr.task.launched");
-  Counter* const m_task_retries_ = metrics_->counter("mr.task.retries");
   Counter* const m_nodes_blacklisted_ =
       metrics_->counter("mr.node.blacklisted");
   Gauge* const m_slots_active_ = metrics_->gauge("mr.slots.active");
   Histogram* const m_task_cpu_micros_ =
       metrics_->histogram("mr.task.cpu_micros");
-  Counter* const m_spec_launched_ =
-      metrics_->counter("mr.speculative.launched");
-  Counter* const m_spec_won_ = metrics_->counter("mr.speculative.won");
-  Counter* const m_spec_lost_ = metrics_->counter("mr.speculative.lost");
-  Counter* const m_write_retries_ = metrics_->counter("hdfs.write.retries");
 
   std::vector<InputSplit> splits_;
   std::vector<NodeId> assigned_node_;
@@ -433,8 +457,8 @@ Status JobRunner::RunImpl(const Job& job, JobReport* report,
   // below rolls the directory back to empty.
   std::unique_ptr<OutputCommitter> committer;
   if (!job.config.output_path.empty()) {
-    committer = std::make_unique<OutputCommitter>(fs_, job.config.output_path,
-                                                  metrics, trace);
+    committer =
+        std::make_unique<OutputCommitter>(fs_, job.config.output_path, trace);
     COLMR_RETURN_IF_ERROR(committer->SetupJob());
   }
   Status status = ExecutePhases(job, report, metrics, trace, committer.get());
@@ -442,6 +466,13 @@ Status JobRunner::RunImpl(const Job& job, JobReport* report,
     committer->AbortJob();
     report->commit_aborts += 1;
   }
+  // The returns above leave every report field zero; from here the report
+  // is final, so its registry twins are published once, whatever the
+  // status. CommitJob is the last step that can fail, and only jobs with
+  // an output path and a reducer run it.
+  PublishReportCounters(*report,
+                        status.ok() && committer != nullptr && job.reducer,
+                        metrics);
   report->wall_seconds = wall.ElapsedSeconds();
   return status;
 }
@@ -630,7 +661,6 @@ void JobRunner::Execution::RunTask(size_t i) {
     // Retryable failure — unless this attempt was aborted because the
     // backup already recorded the task, which is no node's fault.
     if (ctrl.done.load(std::memory_order_relaxed)) return;
-    m_task_retries_->Increment();
     TraceInstant(trace_, "task_retry", "mr",
                  {{"split", TraceCollector::JsonValue(
                                 static_cast<uint64_t>(i))},
@@ -673,7 +703,6 @@ void JobRunner::Execution::RunBackup(size_t i) {
     }
   }
   (won ? spec_won_ : spec_lost_).fetch_add(1);
-  (won ? m_spec_won_ : m_spec_lost_)->Increment();
   TraceInstant(trace_, won ? "speculative_won" : "speculative_lost", "mr",
                {{"split", TraceCollector::JsonValue(
                               static_cast<uint64_t>(i))}});
@@ -725,7 +754,6 @@ void JobRunner::Execution::MonitorStragglers() {
         ctrl.backup_inflight = true;
       }
       report_->speculative_launched += 1;  // only this thread writes it
-      m_spec_launched_->Increment();
       TraceInstant(trace_, "speculative_launch", "mr",
                    {{"split", TraceCollector::JsonValue(
                                   static_cast<uint64_t>(i))}});
@@ -865,7 +893,6 @@ std::unique_ptr<MapOutputBuffer> JobRunner::Execution::NewSpillBuffer(
   opts.sort_buffer_bytes = config_.sort_buffer_bytes;
   opts.combiner = job_.combiner ? &job_.combiner : nullptr;
   opts.codec = config_.spill_codec;
-  opts.metrics = metrics_;
   opts.trace = trace_;
   return std::make_unique<MapOutputBuffer>(std::move(opts));
 }
@@ -909,7 +936,6 @@ Status JobRunner::Execution::JoinMapResults() {
     report_->map_output_records += task.output_records;
     report_->bytes_read_local += task.io.local_bytes;
     report_->bytes_read_remote += task.io.remote_bytes;
-    report_->map_cpu_seconds += task.cpu_seconds;
     if (task.data_local) {
       report_->data_local_tasks += 1;
     } else {
@@ -937,10 +963,6 @@ Status JobRunner::Execution::JoinMapResults() {
   for (double t : task_times) task_time_sum += t;
   report_->map_slot_seconds =
       task_time_sum / std::max(1, fs_->config().TotalMapSlots());
-  metrics_->counter("mr.map.input_records")
-      ->Increment(report_->map_input_records);
-  metrics_->counter("mr.map.output_records")
-      ->Increment(report_->map_output_records);
   return Status::OK();
 }
 
@@ -971,7 +993,6 @@ Status JobRunner::Execution::Shuffle() {
     }
     report_->shuffle_bytes = report_->map_output_bytes;
   }
-  metrics_->counter("mr.shuffle.bytes")->Increment(report_->shuffle_bytes);
   return Status::OK();
 }
 
@@ -982,8 +1003,6 @@ Status JobRunner::Execution::Shuffle() {
 Status JobRunner::Execution::MergePasses() {
   const size_t merge_factor =
       static_cast<size_t>(std::max(2, config_.merge_factor));
-  Counter* m_merge_passes = metrics_->counter("mr.spill.merge_passes");
-  Counter* m_merge_segments = metrics_->counter("mr.spill.merge_segments");
   for (int pass = 0; runs_.size() > merge_factor; ++pass) {
     std::vector<SpillRun> next;
     for (size_t g = 0; g * merge_factor < runs_.size(); ++g) {
@@ -999,12 +1018,10 @@ Status JobRunner::Execution::MergePasses() {
       COLMR_RETURN_IF_ERROR(MergeGroup(pass, g, group, &next.back()));
       for (const SpillRun* run : group) {
         report_->merge_segments += run->NonEmptySegments();
-        m_merge_segments->Increment(run->NonEmptySegments());
       }
     }
     runs_ = std::move(next);
     report_->merge_passes += 1;
-    m_merge_passes->Increment();
   }
   return Status::OK();
 }
@@ -1058,10 +1075,9 @@ Status JobRunner::Execution::RunReducers() {
     COLMR_RETURN_IF_ERROR(result.status);
   }
   if (external_shuffle_) {
-    uint64_t final_segments = 0;
-    for (const SpillRun& run : runs_) final_segments += run.NonEmptySegments();
-    report_->merge_segments += final_segments;
-    metrics_->counter("mr.spill.merge_segments")->Increment(final_segments);
+    for (const SpillRun& run : runs_) {
+      report_->merge_segments += run.NonEmptySegments();
+    }
   }
   return Status::OK();
 }
@@ -1189,13 +1205,11 @@ void JobRunner::Execution::CollectOutput() {
   } else {
     // Reduce output in partition order — identical to running the
     // reducers one after another.
-    Counter* m_reduce_input = metrics_->counter("mr.reduce.input_records");
     double max_reducer_seconds = 0;
     report_->reduce_input_records.reserve(reduced_.size());
     for (ReduceTaskResult& result : reduced_) {
       max_reducer_seconds = std::max(max_reducer_seconds, result.cpu_seconds);
       report_->reduce_input_records.push_back(result.input_records);
-      m_reduce_input->Increment(result.input_records);
       for (auto& pair : result.pairs) {
         report_->output.push_back(std::move(pair));
       }
@@ -1241,7 +1255,6 @@ void JobRunner::Execution::CountWriteAttempt(const IoStats& io, int attempt,
   report_->write_faults += io.write_faults;
   if (failed && attempt + 1 < max_attempts_) {
     report_->write_retries += 1;
-    m_write_retries_->Increment();
   }
 }
 

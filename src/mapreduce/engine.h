@@ -65,9 +65,11 @@ class JobRunner {
   /// failover_reads, blacklisted_nodes) are filled even when Run fails.
   ///
   /// Observability (DESIGN.md §8): counters go to JobConfig::metrics (or
-  /// the default registry); when JobConfig::trace or trace_path is set
-  /// the run emits nested job → phase → task → hdfs.read spans, written
-  /// to trace_path as Chrome trace_event JSON on return.
+  /// the default registry); each mr.* counter that mirrors a JobReport
+  /// field is added on return, so it equals that field on a private
+  /// registry, failed runs included. When JobConfig::trace or trace_path
+  /// is set the run emits nested job → phase → task → hdfs.read spans,
+  /// written to trace_path as Chrome trace_event JSON on return.
   Status Run(const Job& job, JobReport* report);
 
  private:
@@ -75,9 +77,9 @@ class JobRunner {
 
   /// Run() minus trace lifecycle: Run wraps this in the root "job" span
   /// and flushes the collector to JobConfig::trace_path afterwards.
-  /// RunImpl validates the job, runs the committer's SetupJob guard, and
-  /// on any phase failure aborts the job output so nothing torn stays
-  /// visible.
+  /// RunImpl validates the job, runs the committer's SetupJob guard, on
+  /// any phase failure aborts the job output so nothing torn stays
+  /// visible, and then publishes the report's registry twins.
   Status RunImpl(const Job& job, JobReport* report, MetricsRegistry* metrics,
                  TraceCollector* trace);
 

@@ -191,20 +191,25 @@ struct TaskReport {
   int attempts = 1;
 };
 
-/// What Run() returns: everything Table 1 reports, plus detail.
+/// What Run() returns: everything Table 1 reports, plus detail. A map
+/// counter covers either each task's *recorded* attempt (the one in
+/// map_tasks; its io folds in the failed attempts before it on the same
+/// chain) or *every* attempt, winning, failed or superseded. Run adds
+/// each field marked "Twin" to that registry counter as it returns.
 struct JobReport {
   std::vector<TaskReport> map_tasks;
 
+  /// Recorded attempts (with their chains' failed attempts).
   uint64_t bytes_read_local = 0;
   uint64_t bytes_read_remote = 0;
   uint64_t BytesRead() const { return bytes_read_local + bytes_read_remote; }
 
+  /// Recorded attempts. Twins: mr.map.{input,output}_records.
   uint64_t map_input_records = 0;
   uint64_t map_output_records = 0;
   uint64_t map_output_bytes = 0;
   uint64_t reduce_output_records = 0;
 
-  double map_cpu_seconds = 0;       // summed over tasks (per-thread CPU clock)
   /// Simulated cluster map-phase makespan (LPT packing onto slots).
   double map_phase_seconds = 0;
   /// The paper's "map time" metric (Section 6.3): total simulated task
@@ -224,15 +229,17 @@ struct JobReport {
   /// by the slot gate; never exceeds config.map_slots_per_node.
   std::vector<int> peak_node_slots;
 
+  /// Recorded attempts, by whether their node held the split's files.
   int data_local_tasks = 0;
   int remote_tasks = 0;
 
   // ---- Failure and recovery (filled even when the job fails) ----
-  /// Map task re-executions: sum over tasks of (attempts - 1).
+  /// Map task re-executions: sum over recorded tasks of (attempts - 1).
+  /// Twin: mr.task.retries.
   uint64_t task_retries = 0;
-  /// Replica reads rejected by the block checksum, summed over attempts.
+  /// Replica reads rejected by the block checksum, recorded chains only.
   uint64_t checksum_failures = 0;
-  /// Replica read attempts that failed over to another replica.
+  /// Replica read attempts that failed over, recorded chains only.
   uint64_t failover_reads = 0;
   /// Nodes the job blacklisted (>= config.node_blacklist_failures failed
   /// attempts), ascending.
@@ -242,49 +249,52 @@ struct JobReport {
   /// reducer; also written to config.output_path as text part files.
   std::vector<std::pair<Value, Value>> output;
 
-  // ---- Reduce-side accounting (appended; existing fields above keep
-  // ---- their layout and meaning) ----
+  // ---- Reduce-side accounting ----
   /// Bytes actually crossing the shuffle: the tagged-encoding size of
   /// every (key, value) pair entering the reduce merge, *after* all
   /// map-side combining. Equal to map_output_bytes when the shuffle is
   /// in-memory (combining happened before both are measured); on the
   /// external path merge-time combining can shrink it further, so
-  /// shuffle_bytes <= map_output_bytes always holds.
+  /// shuffle_bytes <= map_output_bytes always holds. Twin: mr.shuffle.bytes.
   uint64_t shuffle_bytes = 0;
-  /// Records entering each reduce partition, indexed by partition.
+  /// Records entering each reduce partition (one attempt each), indexed by
+  /// partition. Twin (summed): mr.reduce.input_records.
   std::vector<uint64_t> reduce_input_records;
 
-  // ---- Crash-safe commit + straggler defense (appended) ----
-  /// Speculative backup attempts launched / that finished first / that
-  /// lost the race to the original attempt.
+  // ---- Crash-safe commit + straggler defense ----
+  /// Every speculative backup attempt: launched / finished first / lost
+  /// the race. Twins: mr.speculative.{launched,won,lost}.
   uint64_t speculative_launched = 0;
   uint64_t speculative_won = 0;
   uint64_t speculative_lost = 0;
-  /// Output tasks whose attempt won the commit rename.
+  /// Output tasks whose attempt won the commit rename. Twin: mr.commit.task.
   uint64_t tasks_committed = 0;
-  /// Task/job abort actions taken by the committer (lost races, failed
-  /// writes, failed jobs).
+  /// Every abort action of the committer: each failed or losing output
+  /// attempt, and a failed job. Twin: mr.commit.aborts.
   uint64_t commit_aborts = 0;
-  /// Block seals that failed under injected write faults, summed over
-  /// every spill, intermediate-merge and output-write attempt.
+  /// Block seals that failed under injected write faults: spills of the
+  /// recorded chains, every intermediate-merge and output-write attempt.
   uint64_t write_faults = 0;
-  /// Output-write attempt re-executions (write fault or commit fault,
-  /// then retried on another node) plus intermediate-merge re-executions.
+  /// Every output-write attempt re-execution (write fault or commit fault,
+  /// then retried on another node) plus every intermediate-merge one.
+  /// Twin: hdfs.write.retries.
   uint64_t write_retries = 0;
 
-  // ---- External sort-merge shuffle (appended; zero when
-  // ---- sort_buffer_bytes == 0) ----
-  /// Sorted runs spilled by map tasks (winning attempts only).
+  // ---- External sort-merge shuffle (zero when sort_buffer_bytes == 0) ----
+  /// Sorted runs spilled by map tasks, recorded attempts only, and their
+  /// file bytes (framing and compression included). Twins: mr.spill.count,
+  /// mr.spill.bytes.
   uint64_t spill_count = 0;
-  /// File bytes across those runs (framing and compression included).
   uint64_t spill_bytes = 0;
-  /// Intermediate merge passes taken to respect merge_factor.
+  /// Intermediate merge passes taken to respect merge_factor, and the run
+  /// segments consumed by merges (those passes plus the final reduce-side
+  /// merge): each merge counts once, however many attempts it took.
+  /// Twins: mr.spill.merge_{passes,segments}.
   uint64_t merge_passes = 0;
-  /// Run segments consumed by merges: intermediate passes plus the final
-  /// reduce-side merge.
   uint64_t merge_segments = 0;
-  /// Largest tagged-byte occupancy any task's sort buffer reached — the
-  /// bounded-memory evidence (at most sort_buffer_bytes + one record).
+  /// Largest tagged-byte occupancy any recorded attempt's sort buffer
+  /// reached — the bounded-memory evidence (at most sort_buffer_bytes + one
+  /// record).
   uint64_t peak_spill_buffer_bytes = 0;
 };
 

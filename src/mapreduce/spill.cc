@@ -339,9 +339,7 @@ Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
 // ---- MapOutputBuffer ----
 
 MapOutputBuffer::MapOutputBuffer(Options options)
-    : options_(std::move(options)),
-      m_spill_count_(options_.metrics->counter("mr.spill.count")),
-      m_spill_bytes_(options_.metrics->counter("mr.spill.bytes")) {}
+    : options_(std::move(options)) {}
 
 void MapOutputBuffer::Emit(Value key, Value value) {
   if (!status_.ok()) return;  // sticky: the attempt is already doomed
@@ -418,11 +416,8 @@ Status MapOutputBuffer::SortAndSpill() {
   SpillRun run;
   COLMR_RETURN_IF_ERROR(writer->Close(&run));
 
-  const uint64_t file_bytes = run.Total(&SpillSegment::bytes);
-  m_spill_count_->Increment();
-  m_spill_bytes_->Increment(file_bytes);
   span.AddArg("records_out", static_cast<uint64_t>(entries_.size()));
-  span.AddArg("bytes", file_bytes);
+  span.AddArg("bytes", run.Total(&SpillSegment::bytes));
 
   runs_.push_back(std::move(run));
   entries_.clear();

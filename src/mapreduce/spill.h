@@ -16,8 +16,6 @@
 
 namespace colmr {
 
-class MetricsRegistry;
-class Counter;
 class TraceCollector;
 
 // External sort-merge shuffle (DESIGN.md §12) — the bounded-memory spill
@@ -276,8 +274,7 @@ class MapOutputBuffer final : public Emitter {
     uint64_t sort_buffer_bytes = 0;
     const ReduceFn* combiner = nullptr;  // may be null
     CodecType codec = CodecType::kNone;
-    MetricsRegistry* metrics = nullptr;  // resolved; never null
-    TraceCollector* trace = nullptr;     // may be null
+    TraceCollector* trace = nullptr;  // may be null
   };
 
   explicit MapOutputBuffer(Options options);
@@ -311,8 +308,6 @@ class MapOutputBuffer final : public Emitter {
   uint64_t peak_buffer_bytes_ = 0;
   std::vector<SpillRun> runs_;
   Status status_;
-  Counter* m_spill_count_;
-  Counter* m_spill_bytes_;
 };
 
 }  // namespace colmr

@@ -1,7 +1,9 @@
 #include "serde/encoding.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/coding.h"
 #include "common/hash.h"
@@ -549,10 +551,11 @@ void HashTaggedValueRec(const Value& value, Fnv1a64* h) {
       break;
     case TypeKind::kDouble: {
       // The 8 little-endian bytes PutDouble writes, independent of host
-      // endianness — with -0.0 hashed as +0.0, since Compare calls them
-      // equal and equal keys must share a shuffle partition.
-      const double d =
-          value.double_value() == 0.0 ? 0.0 : value.double_value();
+      // endianness — with -0.0 hashed as +0.0 and every NaN payload as one
+      // canonical NaN, since Compare calls them equal and equal keys must
+      // share a shuffle partition.
+      double d = value.double_value() == 0.0 ? 0.0 : value.double_value();
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
       uint64_t bits = 0;
       std::memcpy(&bits, &d, 8);
       for (int i = 0; i < 8; ++i) {

@@ -1,6 +1,7 @@
 #include "serde/value.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace colmr {
 
@@ -28,7 +29,11 @@ int Value::Compare(const Value& other) const {
       return a == b ? 0 : (a < b ? -1 : 1);
     }
     case TypeKind::kDouble: {
+      // A total order, so shuffle sorts stay strict weak orders: every NaN
+      // equals every other NaN and sorts after all numbers; -0.0 == +0.0.
       const double a = double_value(), b = other.double_value();
+      const bool a_nan = std::isnan(a), b_nan = std::isnan(b);
+      if (a_nan || b_nan) return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
       return a == b ? 0 : (a < b ? -1 : 1);
     }
     case TypeKind::kString:

@@ -129,7 +129,9 @@ class Value {
   const Value* FindMapEntry(std::string_view key) const;
 
   /// Total ordering across values of the same schema, used for shuffle
-  /// sort keys. Orders first by kind, then by content.
+  /// sort keys. Orders first by kind, then by content; doubles put every
+  /// NaN after all numbers and equal to each other. Predicates and zone
+  /// maps compare doubles with IEEE semantics instead.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

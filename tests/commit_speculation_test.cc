@@ -343,7 +343,7 @@ TEST(StragglerTest, SpeculationIsNoOpWithoutStragglers) {
 // job commit publishes the winner's bytes.
 TEST(CommitterTest, DuplicateAttemptsRaceToOneWinner) {
   auto fs = MakeFs();
-  OutputCommitter committer(fs.get(), "/out", nullptr, nullptr);
+  OutputCommitter committer(fs.get(), "/out", nullptr);
   ASSERT_TRUE(committer.SetupJob().ok());
 
   auto write_attempt = [&](int attempt, const std::string& body) {
@@ -376,7 +376,7 @@ TEST(CommitterTest, DuplicateAttemptsRaceToOneWinner) {
 // protocol was in.
 TEST(CommitterTest, AbortJobErasesEverything) {
   auto fs = MakeFs();
-  OutputCommitter committer(fs.get(), "/out", nullptr, nullptr);
+  OutputCommitter committer(fs.get(), "/out", nullptr);
   ASSERT_TRUE(committer.SetupJob().ok());
   std::unique_ptr<FileWriter> writer;
   ASSERT_TRUE(

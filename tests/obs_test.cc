@@ -1,6 +1,7 @@
 // Observability layer (DESIGN.md §8): metrics registry semantics and
 // thread-safety, JSON emission/validation, trace span collection, the
-// engine's span tree, reduce-side JobReport counters, and the Figure 10
+// engine's span tree, reduce-side JobReport counters and their registry
+// twins (under faults and speculation too), and the Figure 10
 // acceptance check that CIF-SL skip counters track predicate selectivity.
 
 #include <gtest/gtest.h>
@@ -452,6 +453,106 @@ TEST(EngineObservabilityTest, PrivateRegistryIsolatesJobCounters) {
       MetricsRegistry::Default().Snapshot().Diff(default_before);
   EXPECT_EQ(default_diff.counters["mr.job.runs"], 0u);
   EXPECT_EQ(default_diff.counters["hdfs.read.ops"], 0u);
+}
+
+// CI sweeps the fault schedule seed (COLMR_FAULT_SEED) so probabilistic
+// tests hold for every schedule, not one lucky draw.
+uint64_t FaultSeed() {
+  const char* env = std::getenv("COLMR_FAULT_SEED");
+  return env == nullptr ? 17 : std::strtoull(env, nullptr, 10);
+}
+
+// Every mr.* counter (and hdfs.write.retries) that mirrors a JobReport
+// field must equal that field once Run returns, whatever the run went
+// through: the report is the counters' only writer.
+void ExpectTwinsMatchReport(const MetricsRegistry& registry,
+                            const JobReport& report, bool committed) {
+  MetricsSnapshot snapshot = registry.Snapshot();
+  uint64_t reduce_inputs = 0;
+  for (uint64_t n : report.reduce_input_records) reduce_inputs += n;
+  const std::pair<const char*, uint64_t> twins[] = {
+      {"mr.map.input_records", report.map_input_records},
+      {"mr.map.output_records", report.map_output_records},
+      {"mr.reduce.input_records", reduce_inputs},
+      {"mr.shuffle.bytes", report.shuffle_bytes},
+      {"mr.task.retries", report.task_retries},
+      {"mr.speculative.launched", report.speculative_launched},
+      {"mr.speculative.won", report.speculative_won},
+      {"mr.speculative.lost", report.speculative_lost},
+      {"mr.spill.count", report.spill_count},
+      {"mr.spill.bytes", report.spill_bytes},
+      {"mr.spill.merge_passes", report.merge_passes},
+      {"mr.spill.merge_segments", report.merge_segments},
+      {"mr.commit.task", report.tasks_committed},
+      {"mr.commit.job", committed ? 1u : 0u},
+      {"mr.commit.aborts", report.commit_aborts},
+      {"hdfs.write.retries", report.write_retries},
+  };
+  for (const auto& [name, value] : twins) {
+    EXPECT_EQ(snapshot.counters[name], value) << name;
+  }
+}
+
+// The twins hold under everything that makes attempts outnumber tasks:
+// spill and merge write faults, read faults, and speculative backups
+// racing a slow node — and on a job that fails on a certain spill fault.
+TEST(EngineObservabilityTest, JobCountersMatchRegistryUnderFaults) {
+  NodeId victim = kAnyNode;
+  {
+    auto fs = WriteMicroDataset(4000, 0.0, false);
+    Job job = MicroScanJob();
+    JobRunner runner(fs.get());
+    JobReport report;
+    ASSERT_TRUE(runner.Run(job, &report).ok());
+    ASSERT_GT(report.map_tasks.size(), 1u);
+    victim = report.map_tasks[0].node;
+  }
+  {
+    auto fs = WriteMicroDataset(4000, 0.0, false);
+    FaultConfig faults;
+    faults.seed = FaultSeed();
+    faults.read_error_p = 0.05;
+    faults.write_error_p = 0.1;
+    faults.slow_nodes.insert(victim);
+    faults.slow_read_latency_ms = 10;
+    fs->SetFaultConfig(faults);
+    MetricsRegistry registry;
+    Job job = MicroScanJob();
+    job.config.output_path = "/out";
+    job.config.metrics = &registry;
+    job.config.parallelism = 4;
+    job.config.speculative_execution = true;
+    job.config.max_task_attempts = 8;
+    job.config.sort_buffer_bytes = 512;
+    job.config.merge_factor = 2;
+    JobRunner runner(fs.get());
+    JobReport report;
+    ASSERT_TRUE(runner.Run(job, &report).ok());
+    EXPECT_GT(report.spill_count, 0u);
+    EXPECT_GT(report.merge_passes, 0u);
+    EXPECT_GE(report.speculative_launched, 1u);
+    ExpectTwinsMatchReport(registry, report, /*committed=*/true);
+  }
+  {
+    auto fs = WriteMicroDataset(1200, 0.0, false);
+    FaultConfig faults;
+    faults.seed = FaultSeed();
+    faults.write_error_p = 1.0;
+    fs->SetFaultConfig(faults);
+    MetricsRegistry registry;
+    Job job = MicroScanJob();
+    job.config.output_path = "/out";
+    job.config.metrics = &registry;
+    job.config.parallelism = 4;
+    job.config.sort_buffer_bytes = 512;
+    job.config.merge_factor = 2;
+    JobRunner runner(fs.get());
+    JobReport report;
+    ASSERT_FALSE(runner.Run(job, &report).ok());
+    EXPECT_GT(report.task_retries, 0u);
+    EXPECT_EQ(report.commit_aborts, 1u);
+    ExpectTwinsMatchReport(registry, report, /*committed=*/false);
+  }
 }
 
 std::string RunTracedJob(MiniHdfs* fs, const std::string& output_path,

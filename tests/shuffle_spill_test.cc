@@ -14,6 +14,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -514,6 +516,57 @@ TEST(ShuffleSpillTest, SignedZeroKeysShareOnePartition) {
         EXPECT_EQ(OutputToString(report), reference);
       }
     }
+  }
+}
+
+// Value::Compare orders every NaN after all numbers and equal to every
+// other NaN, so the shuffle sort is a strict weak order with NaN keys too:
+// 60 records keyed in turn NaN, 1.0, 2.0 reduce to three groups of 20 on
+// both shuffle paths and at any parallelism, and NaN payloads that differ
+// in their bits still share a partition.
+TEST(ShuffleSpillTest, NaNKeysFormOneGroup) {
+  std::string reference;
+  for (uint64_t sort_buffer : {uint64_t{0}, uint64_t{64}}) {
+    for (int parallelism : {1, 4}) {
+      SCOPED_TRACE("sort_buffer=" + std::to_string(sort_buffer) +
+                   " parallelism=" + std::to_string(parallelism));
+      auto fs = MakeFs();
+      WriteWords(fs.get(), "/in", 3, 20);  // word0 .. word59
+      Job job = WordCountJob(/*out=*/"", /*with_combiner=*/true);
+      job.mapper = [](Record& record, Emitter* emit) {
+        const std::string& text = record.GetOrDie("text").string_value();
+        const int n = std::stoi(text.substr(4, text.find(' ') - 4));
+        const double keys[] = {std::nan(""), 1.0, 2.0};
+        emit->Emit(Value::Double(keys[n % 3]), Value::Int32(1));
+      };
+      job.config.num_reduce_tasks = 1;
+      job.config.sort_buffer_bytes = sort_buffer;
+      job.config.parallelism = parallelism;
+      JobRunner runner(fs.get());
+      JobReport report;
+      ASSERT_TRUE(runner.Run(job, &report).ok());
+      ASSERT_EQ(report.output.size(), 3u) << OutputToString(report);
+      EXPECT_EQ(report.output[0].first.double_value(), 1.0);
+      EXPECT_EQ(report.output[1].first.double_value(), 2.0);
+      EXPECT_TRUE(std::isnan(report.output[2].first.double_value()));
+      for (const auto& [key, count] : report.output) {
+        EXPECT_EQ(count.int64_value(), 20);
+      }
+      if (reference.empty()) reference = OutputToString(report);
+      EXPECT_EQ(OutputToString(report), reference);
+    }
+  }
+  const double nans[] = {std::numeric_limits<double>::quiet_NaN(),
+                         -std::nan("1")};
+  uint64_t bits[2];
+  std::memcpy(bits, nans, sizeof(bits));
+  ASSERT_NE(bits[0], bits[1]);
+  const Value quiet = Value::Double(nans[0]);
+  const Value payload = Value::Double(nans[1]);
+  EXPECT_EQ(quiet.Compare(payload), 0);
+  for (uint32_t partitions = 1; partitions <= 8; ++partitions) {
+    EXPECT_EQ(ShufflePartition(quiet, partitions),
+              ShufflePartition(payload, partitions));
   }
 }
 
