@@ -1,7 +1,8 @@
 // External sort-merge shuffle (DESIGN.md §12): a word-count job whose map
 // output is several times the sort buffer, run in-memory (the baseline)
-// and through the spill/merge path at a few buffer sizes and codecs. The
-// claims gated in CI:
+// and through the spill/merge path at a few buffer sizes and codecs, with
+// and without a combiner, and over 2039 or 16 distinct keys. The claims
+// gated in CI:
 //
 //   * every external arm spills (spill_count > 0) and, at the 4x+ arms,
 //     spills at least twice per map task;
@@ -21,6 +22,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/datasets.h"
+#include "common/hash.h"
 #include "formats/text/text_format.h"
 #include "mapreduce/engine.h"
 
@@ -56,14 +58,19 @@ void WriteWords(MiniHdfs* fs, const std::string& dir, uint64_t sentences) {
   }
 }
 
-Job WordCountJob() {
+// Word count; `few_keys` folds the words into 16 keys by hash, so each
+// spill groups thousands of pairs under one key.
+Job WordCountJob(bool few_keys) {
   Job job;
   job.config.input_paths = {"/in"};
   job.input_format = std::make_shared<TextInputFormat>();
-  job.mapper = [](Record& record, Emitter* emit) {
+  job.mapper = [few_keys](Record& record, Emitter* emit) {
     std::istringstream words(record.GetOrDie("text").string_value());
     std::string word;
-    while (words >> word) emit->Emit(Value::String(word), Value::Int32(1));
+    while (words >> word) {
+      if (few_keys) word = "key" + std::to_string(HashBytes(word) % 16);
+      emit->Emit(Value::String(word), Value::Int32(1));
+    }
   };
   job.reducer = [](const Value& key, const std::vector<Value>& values,
                    Emitter* emit) {
@@ -106,11 +113,12 @@ int main() {
                bench::Mb(fs->TotalStoredBytes()).c_str());
 
   JobRunner runner(fs.get());
-  Job job = WordCountJob();
 
-  // Baseline: the in-memory shuffle everything must byte-match.
-  JobReport baseline;
-  Die(runner.Run(job, &baseline), "baseline");
+  // Baselines: the in-memory shuffle, without a combiner, that every arm
+  // over the same keys must byte-match.
+  JobReport baseline, few_keys_baseline;
+  Die(runner.Run(WordCountJob(false), &baseline), "baseline");
+  Die(runner.Run(WordCountJob(true), &few_keys_baseline), "few-keys baseline");
   const size_t tasks = baseline.map_tasks.size();
   const uint64_t per_task = baseline.map_output_bytes / (tasks ? tasks : 1);
 
@@ -125,6 +133,8 @@ int main() {
     uint64_t sort_buffer;  // 0 = in-memory
     CodecType codec;
     int merge_factor;
+    bool combine = false;   // combiner = reducer
+    bool few_keys = false;  // 16 distinct keys
   };
   const Arm arms[] = {
       {"in-memory", 0, CodecType::kNone, 10},
@@ -133,28 +143,34 @@ int main() {
       // >= 16x plus a small merge factor to force intermediate passes.
       {"external-16x-mf4", per_task / 16, CodecType::kNone, 4},
       {"external-4x-lzf", per_task / 4, CodecType::kLzf, 10},
+      {"external-4x-combine", per_task / 4, CodecType::kNone, 10, true},
+      {"external-4x-16keys", per_task / 4, CodecType::kNone, 10, false, true},
   };
 
   std::printf("=== External sort-merge shuffle: word count, %zu tasks ===\n",
               tasks);
-  std::printf("%-18s %12s %8s %12s %8s %10s %12s %8s\n", "arm", "buffer(B)",
+  std::printf("%-20s %12s %8s %12s %8s %10s %12s %8s\n", "arm", "buffer(B)",
               "spills", "spill MB", "merges", "wall(s)", "peak buf(B)",
               "output");
 
   for (const Arm& arm : arms) {
+    Job job = WordCountJob(arm.few_keys);
+    if (arm.combine) job.combiner = job.reducer;
     job.config.sort_buffer_bytes = arm.sort_buffer;
     job.config.spill_codec = arm.codec;
     job.config.merge_factor = arm.merge_factor;
     JobReport report;
     Die(runner.Run(job, &report), arm.label);
 
-    const bool identical = SameOutput(report.output, baseline.output);
+    const bool identical = SameOutput(
+        report.output,
+        arm.few_keys ? few_keys_baseline.output : baseline.output);
     const bool bounded =
         arm.sort_buffer == 0 ||
         report.peak_spill_buffer_bytes <= arm.sort_buffer + kRecordSlack;
     const bool spilled_enough =
         arm.sort_buffer == 0 || report.spill_count >= 2 * tasks;
-    std::printf("%-18s %12llu %8llu %12s %8llu %10.3f %12llu %8s%s%s\n",
+    std::printf("%-20s %12llu %8llu %12s %8llu %10.3f %12llu %8s%s%s\n",
                 arm.label,
                 static_cast<unsigned long long>(arm.sort_buffer),
                 static_cast<unsigned long long>(report.spill_count),

@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
+
 namespace colmr {
 
 class Counter;
@@ -103,11 +105,14 @@ class BlockCache {
 
   static constexpr int kNumShards = 8;
 
+  /// Mixed, not block_id % kNumShards: files written side by side (a
+  /// row group's column files) take strided ids, which a plain modulus
+  /// would pile into one shard's budget.
   Shard& ShardFor(uint64_t block_id) {
-    return shards_[block_id % kNumShards];
+    return shards_[SplitMix64(block_id) % kNumShards];
   }
   const Shard& ShardFor(uint64_t block_id) const {
-    return shards_[block_id % kNumShards];
+    return shards_[SplitMix64(block_id) % kNumShards];
   }
   /// Evicts from the back of shard's LRU until it fits its budget.
   /// Caller holds shard.mu.

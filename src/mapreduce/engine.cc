@@ -232,19 +232,16 @@ std::string IndexedName(const char* prefix, size_t index) {
   return name;
 }
 
-/// Stable-sorts `pairs` by key and returns them folded, run of equal keys
-/// by run, through `fn` (combiner or reducer).
-std::vector<std::pair<Value, Value>> SortAndFold(
-    std::vector<std::pair<Value, Value>> pairs, const ReduceFn& fn) {
-  std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first.Compare(b.first) < 0;
-                   });
+/// Returns `pairs` folded through `fn` (combiner or reducer) one group of
+/// equal keys at a time, groups in key order; hashes[i] is pairs[i]'s
+/// ShuffleHash.
+std::vector<std::pair<Value, Value>> FoldByKey(
+    std::vector<std::pair<Value, Value>> pairs,
+    const std::vector<uint64_t>& hashes, const ReduceFn& fn) {
+  const KeyGroups groups = GroupThenOrder(pairs, hashes, 1);
   VectorEmitter out;
-  out.pairs().reserve(pairs.size());
-  EqualKeyFold fold(fn, &out);
-  for (auto& [key, value] : pairs) fold.Add(std::move(key), std::move(value));
-  fold.Flush();
+  out.pairs().reserve(groups.ends.size());
+  FoldGroups(groups, &pairs, fn, &out);
   return std::move(out.pairs());
 }
 
@@ -284,8 +281,14 @@ Status WriteTextPart(MiniHdfs* fs, const std::string& path,
                      const std::vector<std::pair<Value, Value>>& pairs) {
   std::unique_ptr<FileWriter> writer;
   COLMR_RETURN_IF_ERROR(fs->Create(path, context, &writer));
+  std::string line;
   for (const auto& [key, value] : pairs) {
-    writer->Append(key.ToString() + "\t" + value.ToString() + "\n");
+    line.clear();
+    key.AppendTo(&line);
+    line += '\t';
+    value.AppendTo(&line);
+    line += '\n';
+    writer->Append(line);
     if (!writer->status().ok()) break;
   }
   return writer->Close();
@@ -399,6 +402,7 @@ class JobRunner::Execution {
   /// In-memory shuffle: map output in split order, then its partitions.
   std::vector<std::pair<Value, Value>> map_output_;
   std::vector<std::vector<std::pair<Value, Value>>> partitions_;
+  std::vector<std::vector<uint64_t>> partition_hashes_;  // their ShuffleHash
   /// External shuffle: winning tasks' runs in (split, spill) order — the
   /// global sequence order the merge's tie-break reproduces stable sorting
   /// with — and, after MergePasses, the runs the reducers merge.
@@ -852,7 +856,13 @@ Status JobRunner::Execution::MapRecords(size_t i, int attempt,
   // Map-side combine (in-memory path; the spill buffer combines at spill
   // time instead): ship the task's output folded through the combiner.
   if (abort_status.ok() && spill_buffer == nullptr && job_.combiner) {
-    emitter.pairs() = SortAndFold(std::move(emitter.pairs()), job_.combiner);
+    std::vector<uint64_t> hashes;
+    hashes.reserve(emitter.pairs().size());
+    for (const auto& [key, value] : emitter.pairs()) {
+      hashes.push_back(ShuffleHash(key));
+    }
+    emitter.pairs() =
+        FoldByKey(std::move(emitter.pairs()), hashes, job_.combiner);
   }
   // External shuffle: spill the buffer's tail inside the CPU window — the
   // final sort is map work like the in-memory combine above.
@@ -975,16 +985,18 @@ Status JobRunner::Execution::Shuffle() {
       report_->shuffle_bytes += run.Total(&SpillSegment::kv_bytes);
     }
   } else {
-    // Partition by the stable key hash; each reducer sorts its partition
-    // (Hadoop's sort-merge shuffle, collapsed to an in-memory sort).
-    // Partitions keep map-output order, so their stable sorts are
-    // deterministic too.
+    // Partition by the stable key hash, which each reducer reuses to
+    // group its partition (Hadoop's sort-merge shuffle, collapsed to an
+    // in-memory sort). Partitions keep map-output order, so their
+    // groups' members do too.
     partitions_.resize(static_cast<size_t>(num_reducers_));
+    partition_hashes_.resize(partitions_.size());
     ScopedSpan shuffle_span(trace_, "shuffle", "mr");
     for (auto& pair : map_output_) {
-      const uint32_t p =
-          ShufflePartition(pair.first, static_cast<uint32_t>(num_reducers_));
+      const uint64_t hash = ShuffleHash(pair.first);
+      const size_t p = hash % partitions_.size();
       partitions_[p].push_back(std::move(pair));
+      partition_hashes_[p].push_back(hash);
     }
     if (shuffle_span.active()) {
       shuffle_span.AddArg("partitions",
@@ -1093,7 +1105,7 @@ void JobRunner::Execution::ReduceTask(size_t p) {
   if (external_shuffle_) {
     // Stream this partition through a heap merge over every final run —
     // the partition never materializes as a vector. The merge order equals
-    // the stable sort the in-memory path does, so the reducer sees
+    // the group order the in-memory path folds in, so the reducer sees
     // identical (key, [values]) calls.
     SpillMerger merger;
     for (size_t r = 0; r < runs_.size(); ++r) {
@@ -1107,14 +1119,15 @@ void JobRunner::Execution::ReduceTask(size_t p) {
     EqualKeyFold fold(job_.reducer, &emitter);
     while (merger.Next()) {
       ++result.input_records;
-      fold.Add(merger.key(), merger.value());
+      fold.Add(merger.key(), std::move(*merger.mutable_value()));
     }
     result.status = merger.status();
     if (!result.status.ok()) return;
     fold.Flush();
   } else {
     result.input_records = partitions_[p].size();
-    emitter.pairs() = SortAndFold(std::move(partitions_[p]), job_.reducer);
+    emitter.pairs() = FoldByKey(std::move(partitions_[p]),
+                                partition_hashes_[p], job_.reducer);
   }
   if (reduce_span.active()) {
     reduce_span.AddArg("input_records", result.input_records);
@@ -1207,6 +1220,11 @@ void JobRunner::Execution::CollectOutput() {
     // reducers one after another.
     double max_reducer_seconds = 0;
     report_->reduce_input_records.reserve(reduced_.size());
+    size_t output_records = 0;
+    for (const ReduceTaskResult& result : reduced_) {
+      output_records += result.pairs.size();
+    }
+    report_->output.reserve(output_records);
     for (ReduceTaskResult& result : reduced_) {
       max_reducer_seconds = std::max(max_reducer_seconds, result.cpu_seconds);
       report_->reduce_input_records.push_back(result.input_records);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "common/coding.h"
@@ -25,8 +27,99 @@ constexpr size_t kSpillBlockBytes = 64 * 1024;
 
 uint32_t ShufflePartition(const Value& key, uint32_t num_partitions) {
   assert(num_partitions > 0);
-  return static_cast<uint32_t>(HashTaggedValue(key, kShufflePartitionSeed) %
-                               num_partitions);
+  return static_cast<uint32_t>(ShuffleHash(key) % num_partitions);
+}
+
+// ---- GroupThenOrder ----
+
+KeyGroups GroupThenOrder(const std::vector<std::pair<Value, Value>>& pairs,
+                         const std::vector<uint64_t>& hashes,
+                         uint32_t num_partitions) {
+  assert(num_partitions > 0 && hashes.size() == pairs.size());
+  constexpr uint32_t kNone = UINT32_MAX;
+  assert(pairs.size() < kNone);
+  const uint32_t n = static_cast<uint32_t>(pairs.size());
+  // Open addressing over groups, at most half full; each slot holds its
+  // group's hash and first and last member. A slot is picked by the
+  // hash's top bits, since one partition's keys share hash % partitions
+  // and so, for a power-of-two count, their low bits.
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t first = kNone;
+    uint32_t last = kNone;
+  };
+  int bits = 4;
+  std::vector<Slot> slots(size_t{1} << bits);
+  size_t mask = slots.size() - 1;
+  const auto probe_start = [&](uint64_t hash) {
+    return static_cast<size_t>(hash >> (64 - bits));
+  };
+  std::vector<uint32_t> next(n, kNone);  // next member of the same group
+  // One sort key per group: partition in the high half, first member in
+  // the low half.
+  std::vector<uint64_t> groups;
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint64_t hash = hashes[i];
+    for (size_t s = probe_start(hash);; s = (s + 1) & mask) {
+      Slot& slot = slots[s];
+      if (slot.first == kNone) {
+        slot = Slot{hash, i, i};
+        groups.push_back((hash % num_partitions) << 32 | i);
+        break;
+      }
+      if (slot.hash == hash &&
+          pairs[slot.first].first.Compare(pairs[i].first) == 0) {
+        next[slot.last] = i;
+        slot.last = i;
+        break;
+      }
+    }
+    if (2 * groups.size() > slots.size()) {
+      std::vector<Slot> old(slots.size() * 2);
+      old.swap(slots);
+      ++bits;
+      mask = slots.size() - 1;
+      for (const Slot& slot : old) {
+        if (slot.first == kNone) continue;
+        size_t s = probe_start(slot.hash);
+        while (slots[s].first != kNone) s = (s + 1) & mask;
+        slots[s] = slot;
+      }
+    }
+  }
+  // Distinct groups never compare equal, so this unstable sort of the
+  // distinct keys is deterministic.
+  std::sort(groups.begin(), groups.end(), [&](uint64_t a, uint64_t b) {
+    if ((a >> 32) != (b >> 32)) return a < b;
+    return pairs[static_cast<uint32_t>(a)].first.Compare(
+               pairs[static_cast<uint32_t>(b)].first) < 0;
+  });
+  KeyGroups out;
+  out.order.reserve(n);
+  out.ends.reserve(groups.size());
+  for (uint64_t group : groups) {
+    for (uint32_t m = static_cast<uint32_t>(group); m != kNone; m = next[m]) {
+      out.order.push_back(m);
+    }
+    out.ends.push_back(static_cast<uint32_t>(out.order.size()));
+  }
+  return out;
+}
+
+void FoldGroups(const KeyGroups& groups,
+                std::vector<std::pair<Value, Value>>* pairs,
+                const ReduceFn& fn, Emitter* out) {
+  std::vector<Value> values;
+  uint32_t begin = 0;
+  for (uint32_t end : groups.ends) {
+    values.clear();
+    values.reserve(end - begin);
+    for (uint32_t k = begin; k < end; ++k) {
+      values.push_back(std::move((*pairs)[groups.order[k]].second));
+    }
+    fn((*pairs)[groups.order[begin]].first, values, out);
+    begin = end;
+  }
 }
 
 // ---- SpillRunWriter ----
@@ -326,7 +419,7 @@ Status MergeSpillRuns(MiniHdfs* fs, const std::vector<const SpillRun*>& runs,
     // partition and remain key-sorted.
     EqualKeyFold fold(*combiner, &combined);
     while (merger.Next()) {
-      fold.Add(merger.key(), merger.value());
+      fold.Add(merger.key(), std::move(*merger.mutable_value()));
       COLMR_RETURN_IF_ERROR(append_combined(p));
     }
     COLMR_RETURN_IF_ERROR(merger.status());
@@ -343,12 +436,10 @@ MapOutputBuffer::MapOutputBuffer(Options options)
 
 void MapOutputBuffer::Emit(Value key, Value value) {
   if (!status_.ok()) return;  // sticky: the attempt is already doomed
-  const uint32_t partition = ShufflePartition(
-      key, static_cast<uint32_t>(options_.num_partitions));
   buffer_bytes_ += TaggedEncodedSize(key) + TaggedEncodedSize(value);
   peak_buffer_bytes_ = std::max(peak_buffer_bytes_, buffer_bytes_);
-  entries_.push_back(
-      BufferedPair{partition, std::move(key), std::move(value)});
+  hashes_.push_back(ShuffleHash(key));
+  entries_.emplace_back(std::move(key), std::move(value));
   if (buffer_bytes_ >= options_.sort_buffer_bytes) {
     status_ = SortAndSpill();
   }
@@ -364,43 +455,38 @@ Status MapOutputBuffer::SortAndSpill() {
   ScopedSpan span(options_.trace, "spill", "mr");
   span.AddArg("records_in", static_cast<uint64_t>(entries_.size()));
 
-  // The sort whose stability the whole determinism argument leans on:
-  // equal (partition, key) entries keep emission order, so every run is
-  // a contiguous slice of the stable sort of this task's output.
-  const auto by_partition_key = [](const BufferedPair& a,
-                                   const BufferedPair& b) {
-    if (a.partition != b.partition) return a.partition < b.partition;
-    return a.key.Compare(b.key) < 0;
-  };
-  std::stable_sort(entries_.begin(), entries_.end(), by_partition_key);
-
+  // The order the whole determinism argument leans on: equal
+  // (partition, key) entries keep emission order, so every run is a
+  // contiguous slice of the stable sort of this task's output.
+  const uint32_t partitions = static_cast<uint32_t>(options_.num_partitions);
+  KeyGroups groups = GroupThenOrder(entries_, hashes_, partitions);
   if (options_.combiner != nullptr) {
-    // Fold each (partition, key) group through the combiner — Hadoop's
-    // spill-time combine. Outputs are re-partitioned by their own key and
-    // re-sorted, exactly as the in-memory path treats combiner output.
+    // Fold each key group through the combiner — Hadoop's spill-time
+    // combine. Outputs are re-partitioned by their own key and re-ordered,
+    // exactly as the in-memory path treats combiner output; a
+    // key-preserving combiner leaves them in order already.
     VectorEmitter outputs;
-    std::vector<BufferedPair> folded;
-    auto take_outputs = [&] {
-      for (auto& [k, v] : outputs.pairs()) {
-        const uint32_t partition = ShufflePartition(
-            k, static_cast<uint32_t>(options_.num_partitions));
-        folded.push_back(BufferedPair{partition, std::move(k), std::move(v)});
-      }
-      outputs.pairs().clear();
+    FoldGroups(groups, &entries_, *options_.combiner, &outputs);
+    entries_.clear();
+    hashes_.clear();
+    for (auto& pair : outputs.pairs()) {
+      hashes_.push_back(ShuffleHash(pair.first));
+      entries_.push_back(std::move(pair));
+    }
+    const auto before = [&](size_t a, size_t b) {  // (partition, key) order
+      const uint64_t pa = hashes_[a] % partitions;
+      const uint64_t pb = hashes_[b] % partitions;
+      if (pa != pb) return pa < pb;
+      return entries_[a].first.Compare(entries_[b].first) < 0;
     };
-    EqualKeyFold fold(*options_.combiner, &outputs);
-    for (BufferedPair& e : entries_) {
-      fold.Add(std::move(e.key), std::move(e.value));
-      take_outputs();
+    bool in_order = true;
+    for (size_t i = 1; i < entries_.size(); ++i) in_order &= !before(i, i - 1);
+    if (in_order) {
+      groups.order.resize(entries_.size());
+      std::iota(groups.order.begin(), groups.order.end(), 0u);
+    } else {
+      groups = GroupThenOrder(entries_, hashes_, partitions);
     }
-    fold.Flush();
-    take_outputs();
-    // A key-preserving combiner leaves `folded` sorted already, and a
-    // stable sort of sorted input is the identity.
-    if (!std::is_sorted(folded.begin(), folded.end(), by_partition_key)) {
-      std::stable_sort(folded.begin(), folded.end(), by_partition_key);
-    }
-    entries_ = std::move(folded);
   }
 
   const std::string path =
@@ -409,9 +495,10 @@ Status MapOutputBuffer::SortAndSpill() {
   COLMR_RETURN_IF_ERROR(SpillRunWriter::Open(
       options_.fs, path, options_.write_context, options_.codec,
       options_.num_partitions, &writer));
-  for (const BufferedPair& e : entries_) {
+  for (uint32_t i : groups.order) {
     COLMR_RETURN_IF_ERROR(
-        writer->Append(static_cast<int>(e.partition), e.key, e.value));
+        writer->Append(static_cast<int>(hashes_[i] % partitions),
+                       entries_[i].first, entries_[i].second));
   }
   SpillRun run;
   COLMR_RETURN_IF_ERROR(writer->Close(&run));
@@ -421,6 +508,7 @@ Status MapOutputBuffer::SortAndSpill() {
 
   runs_.push_back(std::move(run));
   entries_.clear();
+  hashes_.clear();
   buffer_bytes_ = 0;
   return Status::OK();
 }

@@ -12,6 +12,7 @@
 #include "compress/codec.h"
 #include "hdfs/mini_hdfs.h"
 #include "mapreduce/job.h"
+#include "serde/encoding.h"
 #include "serde/value.h"
 
 namespace colmr {
@@ -59,6 +60,42 @@ inline constexpr uint64_t kShufflePartitionSeed = 0x636f6c6d72736866ull;
 /// identical on every platform/stdlib, allocation-free. Declared here,
 /// implemented in spill.cc next to the run format it feeds.
 uint32_t ShufflePartition(const Value& key, uint32_t num_partitions);
+
+/// HashTaggedValue(key, kShufflePartitionSeed): computed once where a
+/// pair enters the shuffle, it picks the partition (hash % partitions)
+/// and finds the key's group in GroupThenOrder.
+inline uint64_t ShuffleHash(const Value& key) {
+  return HashTaggedValue(key, kShufflePartitionSeed);
+}
+
+/// The shuffle's one sort (DESIGN.md §12): pair indices grouped by key and
+/// ordered group after group.
+struct KeyGroups {
+  /// Indices into the grouped pairs, group after group; each group's
+  /// members in input order.
+  std::vector<uint32_t> order;
+  /// One past each group's last member in `order`.
+  std::vector<uint32_t> ends;
+};
+
+/// Groups `pairs` whose keys Value::Compare calls equal — a hash match
+/// confirmed by Compare, never the hash alone — and orders the groups by
+/// (partition, key), where hashes[i] is pairs[i]'s ShuffleHash and its
+/// partition is hashes[i] % num_partitions. Read in `order`, the pairs are
+/// exactly a stable sort by (partition, key), but only the distinct keys
+/// are sorted and no pair moves. Relies on Compare-equal keys hashing
+/// equal.
+KeyGroups GroupThenOrder(const std::vector<std::pair<Value, Value>>& pairs,
+                         const std::vector<uint64_t>& hashes,
+                         uint32_t num_partitions);
+
+/// Folds each group of `groups` through fn (combiner or reducer), in
+/// group order: fn(the first member's key, the members' values in input
+/// order, out) — what EqualKeyFold gives over the stable sort. Moves the
+/// values out of `pairs`.
+void FoldGroups(const KeyGroups& groups,
+                std::vector<std::pair<Value, Value>>* pairs,
+                const ReduceFn& fn, Emitter* out);
 
 /// Emitter that appends into a vector: in-memory map output, and the
 /// output of combiners and reducers.
@@ -225,6 +262,9 @@ class SpillMerger {
 
   const Value& key() const { return current_->key(); }
   const Value& value() const { return current_->value(); }
+  /// The current value, for a caller to move from: the cursor overwrites
+  /// it on its next record.
+  Value* mutable_value() { return current_->mutable_value(); }
   const Status& status() const { return status_; }
 
  private:
@@ -294,16 +334,11 @@ class MapOutputBuffer final : public Emitter {
   uint64_t peak_buffer_bytes() const { return peak_buffer_bytes_; }
 
  private:
-  struct BufferedPair {
-    uint32_t partition;
-    Value key;
-    Value value;
-  };
-
   Status SortAndSpill();
 
   Options options_;
-  std::vector<BufferedPair> entries_;
+  std::vector<std::pair<Value, Value>> entries_;
+  std::vector<uint64_t> hashes_;  // ShuffleHash of each entry's key
   uint64_t buffer_bytes_ = 0;
   uint64_t peak_buffer_bytes_ = 0;
   std::vector<SpillRun> runs_;

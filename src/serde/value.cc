@@ -95,49 +95,53 @@ void AppendEscaped(const std::string& s, std::string* out) {
 
 std::string Value::ToString() const {
   std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
   switch (kind_) {
     case TypeKind::kNull:
-      out = "null";
+      *out += "null";
       break;
     case TypeKind::kBool:
-      out = bool_value() ? "true" : "false";
+      *out += bool_value() ? "true" : "false";
       break;
     case TypeKind::kInt32:
     case TypeKind::kInt64:
-      out = std::to_string(int64_value());
+      *out += std::to_string(int64_value());
       break;
     case TypeKind::kDouble:
-      out = std::to_string(double_value());
+      *out += std::to_string(double_value());
       break;
     case TypeKind::kString:
     case TypeKind::kBytes:
-      AppendEscaped(string_value(), &out);
+      AppendEscaped(string_value(), out);
       break;
     case TypeKind::kArray:
     case TypeKind::kRecord: {
-      out = "[";
+      *out += "[";
       const auto& elems = elements();
       for (size_t i = 0; i < elems.size(); ++i) {
-        if (i > 0) out += ",";
-        out += elems[i].ToString();
+        if (i > 0) *out += ",";
+        elems[i].AppendTo(out);
       }
-      out += "]";
+      *out += "]";
       break;
     }
     case TypeKind::kMap: {
-      out = "{";
+      *out += "{";
       const auto& entries = map_entries();
       for (size_t i = 0; i < entries.size(); ++i) {
-        if (i > 0) out += ",";
-        AppendEscaped(entries[i].first, &out);
-        out += ":";
-        out += entries[i].second.ToString();
+        if (i > 0) *out += ",";
+        AppendEscaped(entries[i].first, out);
+        *out += ":";
+        entries[i].second.AppendTo(out);
       }
-      out += "}";
+      *out += "}";
       break;
     }
   }
-  return out;
 }
 
 size_t Value::MemoryFootprint() const {

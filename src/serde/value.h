@@ -141,6 +141,8 @@ class Value {
   /// Human-readable rendering, also used by the TXT storage format
   /// (strings escaped; containers in JSON-like syntax).
   std::string ToString() const;
+  /// Appends ToString() to *out.
+  void AppendTo(std::string* out) const;
 
   /// Rough in-memory footprint in bytes; used by Fig. 8-style accounting.
   size_t MemoryFootprint() const;

@@ -56,18 +56,18 @@ TEST(BlockCacheTest, InsertLookupEraseClear) {
 }
 
 TEST(BlockCacheTest, LruEvictionIsByteChargedAndTouchAware) {
-  // Ids that are multiples of 8 land in one shard; total capacity 8 * 256
-  // gives that shard a 256-byte budget — room for two 100-byte entries.
+  // Ids 2, 8 and 14 land in one shard; total capacity 8 * 256 gives that
+  // shard a 256-byte budget — room for two 100-byte entries.
   MetricsRegistry metrics;
   BlockCache cache(8 * 256, &metrics);
-  cache.Insert(8, 0, Bytes(100, 'a'));
-  cache.Insert(16, 0, Bytes(100, 'b'));
-  // Touch id 8 so id 16 becomes the LRU victim.
-  EXPECT_NE(cache.Lookup(8, 0), nullptr);
-  cache.Insert(24, 0, Bytes(100, 'c'));
-  EXPECT_NE(cache.Lookup(8, 0), nullptr);
-  EXPECT_EQ(cache.Lookup(16, 0), nullptr);
-  EXPECT_NE(cache.Lookup(24, 0), nullptr);
+  cache.Insert(2, 0, Bytes(100, 'a'));
+  cache.Insert(8, 0, Bytes(100, 'b'));
+  // Touch id 2 so id 8 becomes the LRU victim.
+  EXPECT_NE(cache.Lookup(2, 0), nullptr);
+  cache.Insert(14, 0, Bytes(100, 'c'));
+  EXPECT_NE(cache.Lookup(2, 0), nullptr);
+  EXPECT_EQ(cache.Lookup(8, 0), nullptr);
+  EXPECT_NE(cache.Lookup(14, 0), nullptr);
   EXPECT_GE(metrics.Snapshot().counters.at("hdfs.cache.evictions"), 1u);
 }
 
@@ -151,6 +151,47 @@ TEST(CacheReadThroughTest, SecondReadHitsWithoutIoCharge) {
   // A memory hit has no simulated I/O cost: nothing is charged.
   EXPECT_GT(cold.local_bytes + cold.remote_bytes, 0u);
   EXPECT_EQ(warm.local_bytes + warm.remote_bytes, 0u);
+}
+
+// A file re-read through a cache twice its size keeps nearly every block,
+// whether its block ids are consecutive (written alone) or strided (written
+// side by side with seven others, as a row group's column files are).
+// Sharding on block_id % 8 sent every strided id to one shard, whose
+// eighth of the budget held a quarter of the file: the re-read hit nothing.
+TEST(CacheReadThroughTest, ReReadAtTwiceTheFileSizeHitsAcrossShards) {
+  constexpr int kBlocks = 64;
+  for (const int files : {1, 8}) {
+    SCOPED_TRACE(files);
+    auto fs = std::make_unique<MiniHdfs>(
+        CacheCluster(), std::make_unique<DefaultPlacementPolicy>(1));
+    std::vector<std::unique_ptr<FileWriter>> writers(files);
+    for (int f = 0; f < files; ++f) {
+      ASSERT_TRUE(fs->Create("/f" + std::to_string(f), &writers[f]).ok());
+    }
+    const uint64_t block_size = CacheCluster().block_size;
+    const std::string block = Payload(block_size);
+    for (int b = 0; b < kBlocks; ++b) {
+      for (auto& writer : writers) writer->Append(block);
+    }
+    for (auto& writer : writers) ASSERT_TRUE(writer->Close().ok());
+
+    MetricsRegistry metrics;
+    fs->EnsureBlockCache(2 * kBlocks * block_size, &metrics);
+    ReadContext context{0, nullptr};
+    context.metrics = &metrics;
+    ReadAll(fs.get(), "/f0", context);
+    const MetricsSnapshot cold = metrics.Snapshot();
+    ReadAll(fs.get(), "/f0", context);
+    const MetricsSnapshot warm = metrics.Snapshot();
+    const double hits = static_cast<double>(
+        warm.counters.at("hdfs.cache.hits") -
+        cold.counters.at("hdfs.cache.hits"));
+    const double misses = static_cast<double>(
+        warm.counters.at("hdfs.cache.misses") -
+        cold.counters.at("hdfs.cache.misses"));
+    ASSERT_GT(hits + misses, 0);
+    EXPECT_GE(hits / (hits + misses), 0.9);
+  }
 }
 
 TEST(CacheReadThroughTest, CorruptReplicaIsNeverServedFromCache) {

@@ -18,6 +18,8 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -567,6 +569,116 @@ TEST(ShuffleSpillTest, NaNKeysFormOneGroup) {
   for (uint32_t partitions = 1; partitions <= 8; ++partitions) {
     EXPECT_EQ(ShufflePartition(quiet, partitions),
               ShufflePartition(payload, partitions));
+  }
+}
+
+// ---- GroupThenOrder: the shuffle's one sort ------------------------------
+
+// Keys that stress grouping: repeated strings, Int32 and Int64 of equal
+// value (distinct kinds, so distinct keys), ±0.0 and NaN payloads (one
+// group each, whose first member's bits must survive), nested arrays and
+// maps holding them, plus random words for cardinality.
+Value DifferentialKey(std::mt19937_64& rng) {
+  const double nan_a = std::numeric_limits<double>::quiet_NaN();
+  const double nan_b = -std::nan("1");
+  const double nan_c = std::nan("7");
+  const Value pool[] = {
+      Value::String("dup"),
+      Value::String(""),
+      Value::Int32(7),
+      Value::Int64(7),
+      Value::Int32(-1),
+      Value::Int64(-1),
+      Value::Double(0.0),
+      Value::Double(-0.0),
+      Value::Double(nan_a),
+      Value::Double(nan_b),
+      Value::Double(nan_c),
+      Value::Double(7.0),
+      Value::Null(),
+      Value::Array({}),
+      Value::Array({Value::Int32(1), Value::Double(-0.0)}),
+      Value::Array({Value::Int32(1), Value::Double(0.0)}),
+      Value::Array({Value::Double(nan_b), Value::String("dup")}),
+      Value::Array({Value::Double(nan_a), Value::String("dup")}),
+      Value::Map({{"k", Value::Double(nan_c)}}),
+      Value::Map({{"k", Value::Double(nan_a)}}),
+      Value::Map({{"k", Value::Array({Value::Int64(7)})}, {"z", Value()}}),
+  };
+  constexpr size_t kPool = sizeof(pool) / sizeof(pool[0]);
+  const uint64_t pick = rng() % (kPool + 40);
+  if (pick < kPool) return pool[pick];
+  return Value::String("w" + std::to_string(pick - kPool));
+}
+
+std::string TaggedBytes(const Value& value) {
+  Buffer buffer;
+  EncodeTaggedValue(value, &buffer);
+  return buffer.AsSlice().ToString();
+}
+
+// The kernel against a test-local stable sort by (partition, key) folded
+// through EqualKeyFold: identical member order, group boundaries, first
+// keys (bit for bit) and value order. The constant hash sends every key
+// down one probe chain, so Value::Compare alone tells the groups apart.
+TEST(GroupThenOrderTest, MatchesStableSortAndEqualKeyFold) {
+  const ReduceFn collect = [](const Value& key,
+                              const std::vector<Value>& values,
+                              Emitter* out) {
+    out->Emit(key, Value::Array(values));
+  };
+  for (const bool constant_hash : {false, true}) {
+    for (const uint32_t partitions : {1u, 3u, 8u}) {
+      for (const uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("constant_hash=" + std::to_string(constant_hash) +
+                     " partitions=" + std::to_string(partitions) +
+                     " seed=" + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        std::vector<std::pair<Value, Value>> pairs;
+        std::vector<uint64_t> hashes;
+        for (int64_t i = 0; i < 400; ++i) {
+          pairs.emplace_back(DifferentialKey(rng), Value::Int64(i));
+          hashes.push_back(constant_hash ? 0x5eed
+                                         : ShuffleHash(pairs.back().first));
+        }
+
+        std::vector<uint32_t> sorted(pairs.size());
+        std::iota(sorted.begin(), sorted.end(), 0u);
+        std::stable_sort(sorted.begin(), sorted.end(),
+                         [&](uint32_t a, uint32_t b) {
+                           const uint64_t pa = hashes[a] % partitions;
+                           const uint64_t pb = hashes[b] % partitions;
+                           if (pa != pb) return pa < pb;
+                           return pairs[a].first.Compare(pairs[b].first) < 0;
+                         });
+        std::vector<uint32_t> ends;
+        for (size_t k = 1; k <= sorted.size(); ++k) {
+          if (k == sorted.size() || pairs[sorted[k]].first.Compare(
+                                        pairs[sorted[k - 1]].first) != 0) {
+            ends.push_back(static_cast<uint32_t>(k));
+          }
+        }
+        VectorEmitter expected;
+        EqualKeyFold fold(collect, &expected);
+        for (uint32_t i : sorted) fold.Add(pairs[i].first, pairs[i].second);
+        fold.Flush();
+
+        const KeyGroups groups = GroupThenOrder(pairs, hashes, partitions);
+        EXPECT_EQ(groups.order, sorted);
+        EXPECT_EQ(groups.ends, ends);
+        VectorEmitter actual;
+        FoldGroups(groups, &pairs, collect, &actual);
+        ASSERT_EQ(actual.pairs().size(), expected.pairs().size());
+        for (size_t g = 0; g < actual.pairs().size(); ++g) {
+          EXPECT_EQ(TaggedBytes(actual.pairs()[g].first),
+                    TaggedBytes(expected.pairs()[g].first))
+              << "group " << g;
+          EXPECT_EQ(TaggedBytes(actual.pairs()[g].second),
+                    TaggedBytes(expected.pairs()[g].second))
+              << "group " << g;
+        }
+      }
+    }
   }
 }
 
